@@ -12,7 +12,7 @@ from .geometry import ReferencePoint
 from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform, recenter
 from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
-                           RangeDifference, is_positioning)
+                           RangeDifference)
 from .prediction import MotionInput, TransitionWorkspace, predict
 from .update import (SUM, BssdRouting, update_aoa, update_gnss_bssd, update_range,
                      update_tdoa)

@@ -28,11 +28,9 @@ def map_estimate(field: LikelihoodField) -> int:
     return int(np.argmax(field.mass))
 
 
-def weighted_mean(field: LikelihoodField, center: int, radius: float) -> np.ndarray:
-    """Mass-weighted centroid of cells within ``radius`` of the MAP position.
-
-    Returns a 3-vector; 2D grids report the grid plane height as z.
-    """
+def _weighted_mean_and_support(field: LikelihoodField, center: int,
+                               radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid of the cells within ``radius`` of ``center`` and their mask."""
     spec = field.spec
     if not math.isinf(radius) and radius < spec.cell_size:
         raise ValueError("radius must be >= cell_size (or inf)")
@@ -45,21 +43,23 @@ def weighted_mean(field: LikelihoodField, center: int, radius: float) -> np.ndar
     mass = field.mass[support]
     total = mass.sum()
     if total <= 0.0:
-        return center_pos.copy()
-    return (mass[:, None] * pos[support]).sum(axis=0) / total
+        return center_pos.copy(), support
+    return (mass[:, None] * pos[support]).sum(axis=0) / total, support
+
+
+def weighted_mean(field: LikelihoodField, center: int, radius: float) -> np.ndarray:
+    """Mass-weighted centroid of cells within ``radius`` of the MAP position.
+
+    Returns a 3-vector; 2D grids report the grid plane height as z.
+    """
+    return _weighted_mean_and_support(field, center, radius)[0]
 
 
 def estimate(field: LikelihoodField, radius: float,
              timestamp: float = 0.0) -> Estimate:
     """Two-step estimate: MAP, then weighted mean over the MAP neighborhood."""
     map_cell = map_estimate(field)
-    pos = weighted_mean(field, map_cell, radius)
-    spec = field.spec
-    if math.isinf(radius):
-        support_count = spec.num_cells
-    else:
-        d = np.linalg.norm(spec.positions_3d() - spec.positions_3d()[map_cell], axis=1)
-        support_count = int((d <= radius).sum())
+    pos, support = _weighted_mean_and_support(field, map_cell, radius)
     total = field.mass.sum()
     return Estimate(
         timestamp=timestamp,
@@ -67,5 +67,5 @@ def estimate(field: LikelihoodField, radius: float,
         map_cell=map_cell,
         map_mass=float(field.mass[map_cell] / total),
         wm_radius=radius,
-        support_count=support_count,
+        support_count=int(support.sum()),
     )

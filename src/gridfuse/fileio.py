@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,35 +39,41 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------- models <-> JSON
 
+# One JSON tag per density model; fields are written in dataclass order and
+# nested models (the parts of a mixture) recurse.
+_MODEL_CLASSES = {"gaussian": GaussianModel, "uniform": UniformModel,
+                  "gmm": GmmModel, "mixture": MixtureLikelihoodModel}
+_MODEL_TAGS = {cls: tag for tag, cls in _MODEL_CLASSES.items()}
+
+
 def model_to_json(model) -> dict:
-    if isinstance(model, GaussianModel):
-        return {"type": "gaussian", "mean": model.mean, "std": model.std}
-    if isinstance(model, UniformModel):
-        return {"type": "uniform", "low": model.low, "high": model.high}
-    if isinstance(model, GmmModel):
-        return {"type": "gmm", "weights": list(model.weights),
-                "means": list(model.means), "variances": list(model.variances)}
-    if isinstance(model, MixtureLikelihoodModel):
-        return {"type": "mixture", "ratio": model.ratio,
-                "primary": model_to_json(model.primary),
-                "secondary": model_to_json(model.secondary)}
-    raise TypeError(f"unsupported model {type(model).__name__}")
+    if type(model) not in _MODEL_TAGS:
+        raise TypeError(f"unsupported model {type(model).__name__}")
+    doc = {"type": _MODEL_TAGS[type(model)]}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if type(value) in _MODEL_TAGS:
+            value = model_to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[f.name] = value
+    return doc
 
 
 def model_from_json(doc: dict):
     try:
         kind = doc["type"]
-        if kind == "gaussian":
-            return GaussianModel(doc["mean"], doc["std"])
-        if kind == "uniform":
-            return UniformModel(doc["low"], doc["high"])
-        if kind == "gmm":
-            return GmmModel(tuple(doc["weights"]), tuple(doc["means"]),
-                            tuple(doc["variances"]))
-        if kind == "mixture":
-            return MixtureLikelihoodModel(doc["ratio"],
-                                          model_from_json(doc["primary"]),
-                                          model_from_json(doc["secondary"]))
+        cls = _MODEL_CLASSES.get(kind)
+        if cls is not None:
+            args = []
+            for f in fields(cls):
+                value = doc[f.name]
+                if isinstance(value, dict):
+                    value = model_from_json(value)
+                elif isinstance(value, list):
+                    value = tuple(value)
+                args.append(value)
+            return cls(*args)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model document: {exc}") from exc
     raise DataFormatError(f"unknown model type {kind!r}")
@@ -402,10 +409,9 @@ def read_gmm(path) -> GmmModel:
     if doc.get("schema") != GMM_SCHEMA:
         raise DataFormatError(
             f"expected schema {GMM_SCHEMA!r}, got {doc.get('schema')!r}")
-    model = model_from_json({k: v for k, v in doc.items() if k != "schema"})
-    if not isinstance(model, GmmModel):
+    if doc.get("type") != _MODEL_TAGS[GmmModel]:
         raise DataFormatError("GMM file does not contain a gmm model")
-    return model
+    return model_from_json({k: v for k, v in doc.items() if k != "schema"})
 
 
 def read_residuals(path) -> np.ndarray:

@@ -67,24 +67,23 @@ class GridSpec:
         return np.asarray(self.origin) + coords * self.cell_size
 
     def positions(self) -> np.ndarray:
-        """(I, ndim) metric positions of all cells, C-order."""
-        return _cached_positions(self)
+        """(I, ndim) metric positions of all cells, C-order (read-only view)."""
+        return _cached_positions(self)[:, :self.ndim]
 
     def positions_3d(self) -> np.ndarray:
         """(I, 3) positions; 2D grids are padded with the plane height."""
-        pos = self.positions()
-        if self.ndim == 3:
-            return pos
-        z = np.full((pos.shape[0], 1), self.plane_height)
-        return np.hstack([pos, z])
+        return _cached_positions(self)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def _cached_positions(spec: GridSpec) -> np.ndarray:
     axes = [spec.origin[d] + spec.cell_size * np.arange(spec.extent[d])
             for d in range(spec.ndim)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pos = np.stack([m.ravel() for m in mesh], axis=-1)
+    columns = [m.ravel() for m in mesh]
+    if spec.ndim == 2:
+        columns.append(np.full(spec.num_cells, spec.plane_height))
+    pos = np.stack(columns, axis=-1)
     pos.setflags(write=False)
     return pos
 

@@ -1,4 +1,13 @@
-"""Scalar density models for likelihood sampling, plus EM calibration of mixtures."""
+"""Scalar density models for likelihood sampling, plus EM calibration of mixtures.
+
+Every density model is a frozen dataclass with two methods:
+
+- ``pdf(y)`` evaluates the density at a scalar or array ``y``;
+- ``sample(rng, size=None)`` draws from it with the given generator and
+  returns a float when ``size`` is None, else an array of that shape.
+
+A new model also needs one entry in the JSON tag table of ``fileio``.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +22,11 @@ class CalibrationFailureError(RuntimeError):
     """Raised when EM cannot produce a non-degenerate mixture fit."""
 
 
+def _gauss_pdf(y, mean, var):
+    y = np.asarray(y, dtype=float)
+    return np.exp(-0.5 * (y - mean) ** 2 / var) / (_SQRT_2PI * np.sqrt(var))
+
+
 @dataclass(frozen=True)
 class GaussianModel:
     mean: float
@@ -21,6 +35,12 @@ class GaussianModel:
     def __post_init__(self):
         if not self.std > 0:
             raise ValueError(f"std must be > 0, got {self.std}")
+
+    def pdf(self, y):
+        return _gauss_pdf(y, self.mean, self.std ** 2)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return rng.normal(self.mean, self.std, size=size)
 
 
 @dataclass(frozen=True)
@@ -33,6 +53,14 @@ class UniformModel:
     def __post_init__(self):
         if not self.high > self.low:
             raise ValueError("require high > low")
+
+    def pdf(self, y):
+        y = np.asarray(y, dtype=float)
+        inside = (y >= self.low) & (y <= self.high)
+        return np.where(inside, 1.0 / (self.high - self.low), 0.0)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return rng.uniform(self.low, self.high, size=size)
 
 
 @dataclass(frozen=True)
@@ -74,6 +102,22 @@ class GmmModel:
     def component(self, c: int) -> GaussianModel:
         return GaussianModel(self.means[c], float(np.sqrt(self.variances[c])))
 
+    def pdf(self, y):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros_like(y)
+        for w, m, v in zip(self.weights, self.means, self.variances):
+            out += w * _gauss_pdf(y, m, v)
+        return out
+
+    def sample(self, rng: np.random.Generator, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        comp = rng.choice(self.n_components, size=n, p=self.weights)
+        draws = rng.normal(np.asarray(self.means)[comp],
+                           np.sqrt(np.asarray(self.variances)[comp]))
+        if size is None:
+            return float(draws[0])
+        return draws.reshape(size)
+
 
 @dataclass(frozen=True)
 class MixtureLikelihoodModel:
@@ -86,60 +130,36 @@ class MixtureLikelihoodModel:
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError(f"mixture ratio must be in [0, 1], got {self.ratio}")
+        for part in (self.primary, self.secondary):
+            if not (hasattr(part, "pdf") and hasattr(part, "sample")):
+                raise TypeError(f"mixture parts must be density models, got {part!r}")
 
+    def pdf(self, y):
+        phi = self.ratio
+        return phi * self.primary.pdf(y) + (1.0 - phi) * self.secondary.pdf(y)
 
-def _gauss_pdf(y, mean, var):
-    y = np.asarray(y, dtype=float)
-    return np.exp(-0.5 * (y - mean) ** 2 / var) / (_SQRT_2PI * np.sqrt(var))
+    def sample(self, rng: np.random.Generator, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        take_primary = rng.random(n) < self.ratio
+        out = np.empty(n)
+        n_p = int(take_primary.sum())
+        if n_p:
+            out[take_primary] = np.asarray(self.primary.sample(rng, size=n_p)).ravel()
+        if n - n_p:
+            out[~take_primary] = np.asarray(self.secondary.sample(rng, size=n - n_p)).ravel()
+        if size is None:
+            return float(out[0])
+        return out.reshape(size)
 
 
 def density(model, y):
     """Evaluate the pdf of ``model`` at ``y`` (scalar or array)."""
-    if isinstance(model, GaussianModel):
-        return _gauss_pdf(y, model.mean, model.std ** 2)
-    if isinstance(model, UniformModel):
-        y = np.asarray(y, dtype=float)
-        inside = (y >= model.low) & (y <= model.high)
-        return np.where(inside, 1.0 / (model.high - model.low), 0.0)
-    if isinstance(model, GmmModel):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for w, m, v in zip(model.weights, model.means, model.variances):
-            out += w * _gauss_pdf(y, m, v)
-        return out
-    if isinstance(model, MixtureLikelihoodModel):
-        phi = model.ratio
-        return phi * density(model.primary, y) + (1.0 - phi) * density(model.secondary, y)
-    raise TypeError(f"unsupported density model {type(model).__name__}")
+    return model.pdf(y)
 
 
 def sample(model, rng: np.random.Generator, size=None):
     """Draw from ``model`` using the supplied generator."""
-    if isinstance(model, GaussianModel):
-        return rng.normal(model.mean, model.std, size=size)
-    if isinstance(model, UniformModel):
-        return rng.uniform(model.low, model.high, size=size)
-    if isinstance(model, GmmModel):
-        n = 1 if size is None else int(np.prod(size))
-        comp = rng.choice(model.n_components, size=n, p=model.weights)
-        draws = rng.normal(np.asarray(model.means)[comp],
-                           np.sqrt(np.asarray(model.variances)[comp]))
-        if size is None:
-            return float(draws[0])
-        return draws.reshape(size)
-    if isinstance(model, MixtureLikelihoodModel):
-        n = 1 if size is None else int(np.prod(size))
-        take_primary = rng.random(n) < model.ratio
-        out = np.empty(n)
-        n_p = int(take_primary.sum())
-        if n_p:
-            out[take_primary] = np.asarray(sample(model.primary, rng, size=n_p)).ravel()
-        if n - n_p:
-            out[~take_primary] = np.asarray(sample(model.secondary, rng, size=n - n_p)).ravel()
-        if size is None:
-            return float(out[0])
-        return out.reshape(size)
-    raise TypeError(f"unsupported sampling model {type(model).__name__}")
+    return model.sample(rng, size)
 
 
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -80,7 +80,3 @@ class Observation:
         if not np.isfinite(self.timestamp):
             raise ValueError("observation timestamp must be finite")
 
-
-def is_positioning(obs: Observation) -> bool:
-    """True for events that trigger a measurement update and a state estimate."""
-    return not isinstance(obs.payload, Odometry)

@@ -116,39 +116,12 @@ def _convolve_field(field: LikelihoodField, kernel: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0).ravel()
 
 
-def predict_velocity(posterior: LikelihoodField, motion: MotionInput,
-                     ws: TransitionWorkspace) -> np.ndarray:
-    """Velocity-only translation likelihood, source-weighted by posterior mass."""
-    return _convolve_field(posterior, ws.velocity_kernel(motion))
-
-
-def predict_heading(posterior: LikelihoodField, motion: MotionInput,
-                    ws: TransitionWorkspace) -> np.ndarray:
-    """Heading-only cone likelihood, source-weighted by posterior mass."""
-    return _convolve_field(posterior, ws.heading_kernel(motion))
-
-
 def predict(posterior: LikelihoodField, motion: MotionInput,
-            ws: TransitionWorkspace, variant: str = "transition") -> LikelihoodField:
+            ws: TransitionWorkspace) -> LikelihoodField:
     """Propagate the posterior through the motion model and normalize.
 
-    variant="transition" (default) weights every source-to-target transition
-    likelihood by the source cell's mass (a proper Chapman-Kolmogorov step).
-    variant="literal" instead sums unweighted transition likelihoods per cell
-    and multiplies elementwise with the posterior; kept for comparison only.
+    Every source-to-target transition likelihood is weighted by the source
+    cell's mass (a Chapman-Kolmogorov step).
     """
-    if variant == "transition":
-        pred = _convolve_field(posterior, ws.transition_kernel(motion))
-    elif variant == "literal":
-        ones = LikelihoodField(posterior.spec,
-                               np.ones(posterior.spec.num_cells))
-        if motion.speed is None:
-            pred = _convolve_field(ones, ws.random_walk_kernel(motion))
-        else:
-            pred = _convolve_field(ones, ws.velocity_kernel(motion))
-            if motion.heading is not None:
-                pred = pred * _convolve_field(ones, ws.heading_kernel(motion))
-        pred = pred * posterior.mass
-    else:
-        raise ValueError(f"unknown prediction variant {variant!r}")
+    pred = _convolve_field(posterior, ws.transition_kernel(motion))
     return normalize(LikelihoodField(posterior.spec, pred))

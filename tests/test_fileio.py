@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gridfuse.engine import FilterConfig, FusionEngine
+from gridfuse.engine import (DEFAULT_BSSD_GMM, DEFAULT_UWB_MODEL, FilterConfig,
+                             FusionEngine)
 from gridfuse.fileio import (DataFormatError, dump_json, filter_config_from_json,
                              filter_config_to_json, grid_from_json, grid_to_json,
                              load_json, model_from_json, model_to_json,
@@ -37,6 +38,28 @@ def test_model_json_rejects_garbage():
         model_from_json({"type": "cauchy"})
     with pytest.raises(DataFormatError):
         model_from_json({"type": "gaussian", "mean": 0.0})
+    mixture = {"type": "mixture", "ratio": 0.9,
+               "primary": {"type": "cauchy", "loc": 0.0},
+               "secondary": {"type": "uniform", "low": -30.0, "high": 30.0}}
+    with pytest.raises(DataFormatError):
+        model_from_json(mixture)
+    with pytest.raises(DataFormatError):
+        model_from_json({**mixture, "primary": 3.0})
+
+
+def test_default_models_json_literal():
+    assert model_to_json(DEFAULT_UWB_MODEL) == {
+        "type": "mixture", "ratio": 0.9,
+        "primary": {"type": "gaussian", "mean": 0.05, "std": 0.31},
+        "secondary": {"type": "uniform", "low": -30.0, "high": 30.0},
+    }
+    assert model_to_json(DEFAULT_BSSD_GMM) == {
+        "type": "gmm",
+        "weights": [0.46153846153846156, 0.26373626373626374,
+                    0.26373626373626374, 0.01098901098901099],
+        "means": [0.25, 13.09, -12.61, -0.3],
+        "variances": [13.06, 20.37, 21.05, 142.89],
+    }
 
 
 def test_grid_json_round_trip():
@@ -153,6 +176,10 @@ def test_gmm_file_schema_checked(tmp_path):
     dump_json({"schema": "wrong", "type": "gmm"}, path)
     with pytest.raises(DataFormatError):
         read_gmm(path)
+    for other in ({"type": "gaussian", "mean": 0.0, "std": 1.0}, {"type": []}):
+        dump_json({"schema": "gridfuse-gmm-v1", **other}, path)
+        with pytest.raises(DataFormatError):
+            read_gmm(path)
 
 
 def test_residuals_round_trip(tmp_path):

@@ -82,6 +82,18 @@ def test_positions_layout():
     assert np.allclose(pos[4], [1.5, 2.0])
 
 
+def test_positions_share_one_read_only_cache():
+    spec = GridSpec((1.0, 2.0), 0.5, (3, 4), plane_height=1.5)
+    pos3 = spec.positions_3d()
+    assert pos3.shape == (12, 3)
+    assert np.all(pos3[:, 2] == 1.5)
+    assert np.array_equal(spec.positions(), pos3[:, :2])
+    assert spec.positions_3d() is pos3
+    assert not pos3.flags.writeable and not spec.positions().flags.writeable
+    spec3 = GridSpec((0.0, 0.0, 0.0), 1.0, (2, 2, 3))
+    assert np.array_equal(spec3.positions(), spec3.positions_3d())
+
+
 def test_recenter_identity():
     spec = GridSpec((0, 0), 1.0, (8, 8))
     field = normalize(LikelihoodField(spec, np.random.default_rng(0).random(64)))

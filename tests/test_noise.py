@@ -84,6 +84,41 @@ def test_single_component_gmm_sampling_ks():
     assert p > 0.01
 
 
+# Draws from default_rng(0), recorded before the models took over sampling;
+# a refactor must keep every value and the RNG call order.
+GOLDEN_DRAWS = [
+    (GaussianModel(0.05, 0.31),
+     [0.08897636853895192, 0.009047492379696417, 0.24853102163741742,
+      0.08251903631744231, -0.1160575056799444],
+     0.08897636853895192),
+    (UniformModel(-2.0, 5.0),
+     [2.45873181125018, -0.11149300365290782, -1.713185332446637,
+      -1.8843065513002963, 3.692891674401907],
+     2.45873181125018),
+    (GmmModel((0.5, 0.3, 0.2), (0.0, 3.0, -4.0), (1.0, 0.25, 4.0)),
+     [3.180797527454742, 1.3040000451301372, 0.9470809631292422,
+      -0.7037352358069926, -6.5308429420921055],
+     2.9339475683543492),
+    # ratio 0.6 with seed 0: the five draws take both parts (the last is a
+    # uniform outlier), the scalar draw takes the secondary
+    (MixtureLikelihoodModel(0.6, GaussianModel(0.05, 0.31),
+                            UniformModel(-30.0, 30.0)),
+     [2.6174994879253717, 0.16209446702194028, 0.45424001399034253,
+      0.34359509857006504, 26.104345427266097],
+     -13.81279717416778),
+]
+
+
+@pytest.mark.parametrize("model,draws,scalar", GOLDEN_DRAWS)
+def test_sample_matches_golden_draws(model, draws, scalar):
+    out = sample(model, np.random.default_rng(0), size=5)
+    assert out.shape == (5,)
+    assert out.tolist() == draws
+    one = sample(model, np.random.default_rng(0), size=None)
+    assert isinstance(one, float)
+    assert one == scalar
+
+
 def test_fit_gmm_single_gaussian_recovery():
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.0, 10**5)
@@ -126,3 +161,5 @@ def test_gmm_validation():
         GmmModel((1.0,), (0.0,), (0.0,))  # zero variance
     with pytest.raises(ValueError):
         MixtureLikelihoodModel(1.5, GaussianModel(0, 1), GaussianModel(0, 1))
+    with pytest.raises(TypeError):
+        MixtureLikelihoodModel(0.5, GaussianModel(0, 1), 3.0)

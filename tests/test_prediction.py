@@ -109,17 +109,6 @@ def test_prediction_spreads_mass():
     assert entropy(out.mass) >= entropy(field.mass)
 
 
-def test_literal_variant_runs_and_differs():
-    field = point_mass(SPEC, (10, 10))
-    motion = MotionInput(3.0, 0.0, dt=1.0)
-    lit = predict(field, motion, WS, variant="literal")
-    assert abs(lit.mass.sum() - 1.0) < 1e-9
-    # the literal reading keeps mass anchored at the source cell
-    assert int(np.argmax(lit.mass)) == SPEC.coords_to_index((10, 10))
-    with pytest.raises(ValueError):
-        predict(field, motion, WS, variant="bogus")
-
-
 def test_kernel_truncation_radius_scales_with_motion():
     slow = WS.radius_cells(MotionInput(1.0, 0.0, sigma_speed=0.1, dt=1.0))
     fast = WS.radius_cells(MotionInput(8.0, 0.0, sigma_speed=0.1, dt=1.0))
