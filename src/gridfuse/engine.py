@@ -33,6 +33,10 @@ DEFAULT_UWB_MODEL = MixtureLikelihoodModel(
     secondary=UniformModel(-30.0, 30.0),
 )
 
+# The grid recenters once the MAP cell comes within this fraction of the
+# grid extent (at least one cell) of its border.
+RECENTER_MARGIN = 0.1
+
 
 @dataclass(frozen=True)
 class AdmitResult:
@@ -54,7 +58,6 @@ class FilterConfig:
     bssd_routing: BssdRouting = dc_field(
         default_factory=lambda: BssdRouting.from_gmm(DEFAULT_BSSD_GMM))
     max_gap: float = 10.0
-    recenter_margin: float = 0.1  # fraction of grid extent
     recenter_enabled: bool = True
 
 
@@ -140,7 +143,7 @@ class FusionEngine:
         spec = self.field.spec
         coords = np.asarray(spec.index_to_coords(est.map_cell))
         extent = np.asarray(spec.extent)
-        margin = np.maximum(1, np.floor(self.config.recenter_margin * extent))
+        margin = np.maximum(1, np.floor(RECENTER_MARGIN * extent))
         near_border = np.any(coords < margin) | np.any(coords >= extent - margin)
         if not near_border:
             return

@@ -1,10 +1,14 @@
-"""File formats: JSON configs (versioned schema field) and one-header CSV data."""
+"""File formats: JSON configs (versioned schema field) and one-header CSV data.
+
+Each format is declared once. A CSV format is a header constant plus a row
+writer and a row parser, passed to ``_write_csv`` / ``_read_csv``. A JSON reader passes only the keys a document holds to the
+dataclass it builds, so every optional key takes its default from that class.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,6 +31,13 @@ FILTER_SCHEMA = "gridfuse-filter-v1"
 GMM_SCHEMA = "gridfuse-gmm-v1"
 
 OBS_HEADER = ["t", "sensor", "type", "ref_ids", "v1", "v2", "v3", "v4", "v5"]
+TRUTH_HEADER = ["t", "x", "y", "z"]
+ESTIMATE_HEADER = ["t", "x", "y", "z", "map_cell", "map_mass", "wm_radius",
+                   "support_count"]
+STATS_HEADER = ["scenario", "mean", "median", "variance", "q_sigma", "q_2sigma",
+                "q_3sigma", "p25", "p50", "p75", "count"]
+ECDF_HEADER = ["scenario", "error", "cdf"]
+RESIDUAL_HEADER = ["residual"]
 
 
 class DataFormatError(ValueError):
@@ -37,7 +48,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# ---------------------------------------------------------------- models <-> JSON
+# ------------------------------------------------------------------- CSV tables
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, header: list[str], parse_rows):
+    """``parse_rows`` applied to the data rows of a one-header CSV file.
+
+    The first line must be exactly ``header``. ``parse_rows`` gets the row
+    iterator, so readers that merge rows keep the same rule: a ValueError
+    while parsing (a bad value, or a row whose field count differs from the
+    header's) is a DataFormatError.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise DataFormatError(f"{path}: unexpected header {found}")
+        try:
+            return parse_rows(reader)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: malformed row: {exc}") from exc
+
+
+# ---------------------------------------------------------- models <-> JSON
 
 # One JSON tag per density model; fields are written in dataclass order and
 # nested models (the parts of a mixture) recurse.
@@ -46,18 +85,23 @@ _MODEL_CLASSES = {"gaussian": GaussianModel, "uniform": UniformModel,
 _MODEL_TAGS = {cls: tag for tag, cls in _MODEL_CLASSES.items()}
 
 
-def model_to_json(model) -> dict:
-    if type(model) not in _MODEL_TAGS:
-        raise TypeError(f"unsupported model {type(model).__name__}")
-    doc = {"type": _MODEL_TAGS[type(model)]}
-    for f in fields(model):
-        value = getattr(model, f.name)
+def _fields_to_json(obj) -> dict:
+    """Dataclass fields in order; tuples become lists, density models recurse."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
         if type(value) in _MODEL_TAGS:
             value = model_to_json(value)
         elif isinstance(value, tuple):
             value = list(value)
         doc[f.name] = value
     return doc
+
+
+def model_to_json(model) -> dict:
+    if type(model) not in _MODEL_TAGS:
+        raise TypeError(f"unsupported model {type(model).__name__}")
+    return {"type": _MODEL_TAGS[type(model)], **_fields_to_json(model)}
 
 
 def model_from_json(doc: dict):
@@ -79,151 +123,135 @@ def model_from_json(doc: dict):
     raise DataFormatError(f"unknown model type {kind!r}")
 
 
-# ------------------------------------------------------------- grid / references
+# ----------------------------------------------------------- JSON documents
+
+def _build(cls, doc: dict, **convert):
+    """``cls`` from the keys of ``doc`` that name its fields (others are
+    ignored), each value passed through ``convert[key]`` if given. Absent keys
+    take the dataclass defaults."""
+    return cls(**{f.name: convert[f.name](doc[f.name]) if f.name in convert
+                  else doc[f.name] for f in fields(cls) if f.name in doc})
+
+
+def _check_schema(doc, schema: str) -> None:
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"expected a JSON object, got {type(doc).__name__}")
+    if doc.get("schema") != schema:
+        raise DataFormatError(
+            f"expected schema {schema!r}, got {doc.get('schema')!r}")
+
 
 def grid_to_json(spec: GridSpec) -> dict:
-    return {"origin": list(spec.origin), "cell_size": spec.cell_size,
-            "extent": list(spec.extent), "plane_height": spec.plane_height}
+    return _fields_to_json(spec)
 
 
 def grid_from_json(doc: dict) -> GridSpec:
     try:
-        return GridSpec(tuple(doc["origin"]), doc["cell_size"],
-                        tuple(doc["extent"]), doc.get("plane_height", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        return _build(GridSpec, doc)
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"bad grid document: {exc}") from exc
 
 
+# Anchors are written without their ``kind``; every one read back is an anchor.
 def _anchor_to_json(a: ReferencePoint) -> dict:
     return {"id": a.id, "position": list(a.position)}
 
 
-def _anchor_from_json(doc: dict) -> ReferencePoint:
-    return ReferencePoint(doc["id"], tuple(doc["position"]), kind="anchor")
+def _anchors_from_json(docs) -> tuple[ReferencePoint, ...]:
+    return tuple(ReferencePoint(a["id"], a["position"]) for a in docs)
 
 
-# ------------------------------------------------------------- scenario configs
+def _satellite_from_json(doc: dict) -> SatelliteSpec:
+    return _build(SatelliteSpec, doc, position=tuple,
+                  visibility=lambda v: tuple(bool(x) for x in v))
+
 
 def scenario_to_json(s: Scenario) -> dict:
     return {
         "schema": SCENARIO_SCHEMA,
         "grid": grid_to_json(s.grid),
         "anchors": [_anchor_to_json(a) for a in s.anchors],
-        "satellites": [{"id": sat.id, "position": list(sat.position),
-                        "visibility": list(sat.visibility)}
-                       for sat in s.satellites],
-        "trajectory": {"kind": s.trajectory.kind,
-                       "position": list(s.trajectory.position),
-                       "center": list(s.trajectory.center),
-                       "radius": s.trajectory.radius,
-                       "speed": s.trajectory.speed,
-                       "height": s.trajectory.height},
+        "satellites": [_fields_to_json(sat) for sat in s.satellites],
+        "trajectory": _fields_to_json(s.trajectory),
         "duration": s.duration,
         "rates": {"gnss": s.gnss_rate, "uwb": s.uwb_rate,
                   "odometry": s.odometry_rate},
-        "uwb_noise": {"mean": s.uwb_noise.mean, "std": s.uwb_noise.std,
-                      "outlier_rate": s.uwb_noise.outlier_rate,
-                      "outlier_low": s.uwb_noise.outlier_low,
-                      "outlier_high": s.uwb_noise.outlier_high,
-                      "anchors_per_epoch": s.uwb_noise.anchors_per_epoch},
-        "gnss_noise": {"sigma_pseudorange": s.gnss_noise.sigma_pseudorange,
-                       "nlos_bias_mean": s.gnss_noise.nlos_bias_mean},
-        "odometry_noise": {"sigma_speed": s.odometry_noise.sigma_speed,
-                           "sigma_heading": s.odometry_noise.sigma_heading},
+        "uwb_noise": _fields_to_json(s.uwb_noise),
+        "gnss_noise": _fields_to_json(s.gnss_noise),
+        "odometry_noise": _fields_to_json(s.odometry_noise),
         "seed": s.seed,
     }
 
 
 def scenario_from_json(doc: dict) -> Scenario:
-    if doc.get("schema") != SCENARIO_SCHEMA:
-        raise DataFormatError(
-            f"expected schema {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}")
+    _check_schema(doc, SCENARIO_SCHEMA)
     try:
-        traj = doc["trajectory"]
         rates = doc["rates"]
-        return Scenario(
-            grid=grid_from_json(doc["grid"]),
-            anchors=tuple(_anchor_from_json(a) for a in doc["anchors"]),
-            satellites=tuple(
-                SatelliteSpec(s["id"], tuple(s["position"]),
-                              tuple(bool(v) for v in s.get("visibility", [True])))
-                for s in doc["satellites"]),
-            trajectory=Trajectory(
-                traj["kind"], tuple(traj.get("position", (0.0, 0.0, 0.0))),
-                tuple(traj.get("center", (0.0, 0.0))),
-                traj.get("radius", 25.0), traj.get("speed", 5.0),
-                traj.get("height", 0.0)),
-            duration=doc["duration"],
-            gnss_rate=rates["gnss"], uwb_rate=rates["uwb"],
-            odometry_rate=rates["odometry"],
-            uwb_noise=UwbNoiseConfig(**doc.get("uwb_noise", {})),
-            gnss_noise=GnssNoiseConfig(**doc.get("gnss_noise", {})),
-            odometry_noise=OdometryNoiseConfig(**doc.get("odometry_noise", {})),
-            seed=doc.get("seed", 0),
-        )
+        return _build(
+            Scenario,
+            {**doc, "gnss_rate": rates["gnss"], "uwb_rate": rates["uwb"],
+             "odometry_rate": rates["odometry"]},
+            grid=grid_from_json,
+            anchors=_anchors_from_json,
+            satellites=lambda docs: tuple(map(_satellite_from_json, docs)),
+            trajectory=lambda d: _build(Trajectory, d, position=tuple,
+                                        center=tuple),
+            uwb_noise=lambda d: UwbNoiseConfig(**d),
+            gnss_noise=lambda d: GnssNoiseConfig(**d),
+            odometry_noise=lambda d: OdometryNoiseConfig(**d))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad scenario config: {exc}") from exc
 
 
-# --------------------------------------------------------------- filter configs
+_FILTER_SCALARS = ("combine_mode", "estimate_radius", "sigma_speed",
+                   "sigma_heading", "sigma_rw", "max_gap", "recenter_enabled")
+_FILTER_MODELS = ("range_model", "tdoa_model", "aoa_model")
+
 
 def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
                           anchors) -> dict:
+    routing = (cfg.bssd_routing.los_los, cfg.bssd_routing.nlos_los,
+               cfg.bssd_routing.los_nlos)
     return {
         "schema": FILTER_SCHEMA,
         "grid": grid_to_json(grid),
         "anchors": [_anchor_to_json(a) for a in anchors],
-        "combine_mode": cfg.combine_mode,
-        "estimate_radius": cfg.estimate_radius,
-        "sigma_speed": cfg.sigma_speed,
-        "sigma_heading": cfg.sigma_heading,
-        "sigma_rw": cfg.sigma_rw,
-        "max_gap": cfg.max_gap,
-        "recenter_enabled": cfg.recenter_enabled,
-        "range_model": model_to_json(cfg.range_model),
-        "tdoa_model": model_to_json(cfg.tdoa_model),
-        "aoa_model": model_to_json(cfg.aoa_model),
+        **{k: getattr(cfg, k) for k in _FILTER_SCALARS},
+        **{k: model_to_json(getattr(cfg, k)) for k in _FILTER_MODELS},
         # routing keeps single Gaussians; weights are irrelevant to case
         # selection, so nominal values are stored
         "bssd_gmm": model_to_json(GmmModel(
-            (0.34, 0.33, 0.33),
-            tuple(m.mean for m in (cfg.bssd_routing.los_los,
-                                   cfg.bssd_routing.nlos_los,
-                                   cfg.bssd_routing.los_nlos)),
-            tuple(m.std ** 2 for m in (cfg.bssd_routing.los_los,
-                                       cfg.bssd_routing.nlos_los,
-                                       cfg.bssd_routing.los_nlos)))),
+            (0.34, 0.33, 0.33), tuple(m.mean for m in routing),
+            tuple(m.std ** 2 for m in routing))),
     }
 
 
 def filter_config_from_json(doc: dict):
-    """Returns (FilterConfig, GridSpec, anchors)."""
-    if doc.get("schema") != FILTER_SCHEMA:
-        raise DataFormatError(
-            f"expected schema {FILTER_SCHEMA!r}, got {doc.get('schema')!r}")
+    """Returns (FilterConfig, GridSpec, anchors); the models are required."""
+    _check_schema(doc, FILTER_SCHEMA)
     try:
-        grid = grid_from_json(doc["grid"])
-        anchors = tuple(_anchor_from_json(a) for a in doc["anchors"])
-        gmm = model_from_json(doc["bssd_gmm"])
         cfg = FilterConfig(
-            combine_mode=doc.get("combine_mode", "sum"),
-            estimate_radius=doc.get("estimate_radius"),
-            sigma_speed=doc.get("sigma_speed", 0.5),
-            sigma_heading=doc.get("sigma_heading", 0.2),
-            sigma_rw=doc.get("sigma_rw", 1.0),
-            max_gap=doc.get("max_gap", 10.0),
-            recenter_enabled=doc.get("recenter_enabled", True),
-            range_model=model_from_json(doc["range_model"]),
-            tdoa_model=model_from_json(doc["tdoa_model"]),
-            aoa_model=model_from_json(doc["aoa_model"]),
-            bssd_routing=BssdRouting.from_gmm(gmm),
-        )
-        return cfg, grid, anchors
+            **{k: doc[k] for k in _FILTER_SCALARS if k in doc},
+            **{k: model_from_json(doc[k]) for k in _FILTER_MODELS},
+            bssd_routing=BssdRouting.from_gmm(model_from_json(doc["bssd_gmm"])))
+        return cfg, grid_from_json(doc["grid"]), _anchors_from_json(doc["anchors"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad filter config: {exc}") from exc
 
 
-def load_json(path) -> dict:
+def write_gmm(model: GmmModel, path) -> None:
+    dump_json({"schema": GMM_SCHEMA, **model_to_json(model)}, path)
+
+
+def read_gmm(path) -> GmmModel:
+    doc = load_json(path)
+    _check_schema(doc, GMM_SCHEMA)
+    if doc.get("type") != _MODEL_TAGS[GmmModel]:
+        raise DataFormatError("GMM file does not contain a gmm model")
+    return model_from_json(doc)
+
+
+def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -259,180 +287,93 @@ def _obs_rows(events):
             raise TypeError(f"unsupported payload {type(p).__name__}")
 
 
+def _observations_from_rows(rows) -> list[Observation]:
+    """Consecutive GNSS rows sharing a timestamp form one GNSS epoch."""
+    events = []   # Observations, and (t, satellites) for each GNSS epoch
+    epoch = None  # the GNSS epoch of the previous row
+    for t, _, kind, ref, v1, v2, v3, v4, v5 in rows:
+        t = float(t)
+        if kind == "gnss":
+            if epoch is None or epoch[0] != t:
+                epoch = (t, [])
+                events.append(epoch)
+            epoch[1].append(SatelliteObservation(
+                ref, (float(v2), float(v3), float(v4)), float(v1),
+                LOS if v5 == "1" else NLOS))
+            continue
+        epoch = None
+        if kind == "range":
+            payload = Range(ref, float(v1))
+        elif kind == "tdoa":
+            a, b = ref.split("|")
+            payload = RangeDifference(a, b, float(v1))
+        elif kind == "aoa":
+            payload = Angle(ref, float(v1))
+        elif kind == "odo":
+            payload = Odometry(float(v1), float(v2))
+        else:
+            raise ValueError(f"unknown observation type {kind!r}")
+        events.append(Observation(t, payload))
+    return [Observation(e[0], GnssPseudoranges(tuple(e[1]))) if type(e) is tuple
+            else e for e in events]
+
+
 def write_observations(events, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBS_HEADER)
-        writer.writerows(_obs_rows(events))
+    _write_csv(path, OBS_HEADER, _obs_rows(events))
 
 
 def read_observations(path) -> list[Observation]:
-    events: list[Observation] = []
-    gnss_group: list[SatelliteObservation] = []
-    gnss_t: float | None = None
-
-    def flush_gnss():
-        nonlocal gnss_group, gnss_t
-        if gnss_group:
-            events.append(Observation(gnss_t, GnssPseudoranges(tuple(gnss_group))))
-            gnss_group = []
-            gnss_t = None
-
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != OBS_HEADER:
-                raise DataFormatError(f"{path}: unexpected header {header}")
-            for row in reader:
-                t = float(row[0])
-                kind = row[2]
-                if kind != "gnss":
-                    flush_gnss()
-                if kind == "range":
-                    events.append(Observation(t, Range(row[3], float(row[4]))))
-                elif kind == "tdoa":
-                    a, b = row[3].split("|")
-                    events.append(Observation(t, RangeDifference(a, b, float(row[4]))))
-                elif kind == "aoa":
-                    events.append(Observation(t, Angle(row[3], float(row[4]))))
-                elif kind == "odo":
-                    events.append(Observation(t, Odometry(float(row[4]),
-                                                          float(row[5]))))
-                elif kind == "gnss":
-                    if gnss_t is not None and t != gnss_t:
-                        flush_gnss()
-                    gnss_t = t
-                    gnss_group.append(SatelliteObservation(
-                        row[3], (float(row[5]), float(row[6]), float(row[7])),
-                        float(row[4]), LOS if row[8] == "1" else NLOS))
-                else:
-                    raise DataFormatError(f"{path}: unknown observation type {kind!r}")
-            flush_gnss()
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, DataFormatError):
-            raise
-        raise DataFormatError(f"{path}: malformed row: {exc}") from exc
-    return events
+    return _read_csv(path, OBS_HEADER, _observations_from_rows)
 
 
 # ------------------------------------------------------- truth / estimates CSV
 
 def write_ground_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z"])
-        for t, pos in zip(truth.times, truth.positions):
-            writer.writerow([_fmt(t)] + [_fmt(v) for v in pos])
+    _write_csv(path, TRUTH_HEADER, ([_fmt(t)] + [_fmt(v) for v in pos]
+                                    for t, pos in zip(truth.times, truth.positions)))
 
 
 def read_ground_truth(path) -> GroundTruth:
-    times, positions = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "x", "y", "z"]:
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        for row in reader:
-            try:
-                times.append(float(row[0]))
-                positions.append([float(v) for v in row[1:4]])
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}: malformed row: {exc}") from exc
-    return GroundTruth(np.asarray(times), np.asarray(positions))
-
-
-ESTIMATE_HEADER = ["t", "x", "y", "z", "map_cell", "map_mass", "wm_radius",
-                   "support_count"]
+    rows = _read_csv(path, TRUTH_HEADER, lambda rows: [
+        (float(t), float(x), float(y), float(z)) for t, x, y, z in rows])
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    return GroundTruth(table[:, 0], table[:, 1:])
 
 
 def write_estimates(estimates: list[Estimate], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATE_HEADER)
-        for e in estimates:
-            writer.writerow([_fmt(e.timestamp), _fmt(e.position[0]),
-                             _fmt(e.position[1]), _fmt(e.position[2]),
-                             str(e.map_cell), _fmt(e.map_mass),
-                             "inf" if math.isinf(e.wm_radius) else _fmt(e.wm_radius),
-                             str(e.support_count)])
+    _write_csv(path, ESTIMATE_HEADER, (
+        [_fmt(e.timestamp), _fmt(e.position[0]), _fmt(e.position[1]),
+         _fmt(e.position[2]), str(e.map_cell), _fmt(e.map_mass),
+         _fmt(e.wm_radius), str(e.support_count)] for e in estimates))
 
 
 def read_estimates(path) -> list[Estimate]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ESTIMATE_HEADER:
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        for row in reader:
-            try:
-                out.append(Estimate(float(row[0]),
-                                    (float(row[1]), float(row[2]), float(row[3])),
-                                    int(row[4]), float(row[5]), float(row[6]),
-                                    int(row[7])))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}: malformed row: {exc}") from exc
-    return out
+    return _read_csv(path, ESTIMATE_HEADER, lambda rows: [
+        Estimate(float(t), (float(x), float(y), float(z)), int(cell),
+                 float(mass), float(radius), int(support))
+        for t, x, y, z, cell, mass, radius, support in rows])
 
 
-# ------------------------------------------------------------- stats / ECDF CSV
+# ------------------------------------------------- stats / ECDF / residuals CSV
 
 def write_stats(summaries: dict[str, StatsSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "mean", "median", "variance",
-                         "q_sigma", "q_2sigma", "q_3sigma",
-                         "p25", "p50", "p75", "count"])
-        for name, s in summaries.items():
-            writer.writerow([name, _fmt(s.mean), _fmt(s.median), _fmt(s.variance)]
-                            + [_fmt(q) for q in s.quantiles]
-                            + [_fmt(p) for p in s.percentiles]
-                            + [str(s.count)])
+    _write_csv(path, STATS_HEADER, (
+        [name, _fmt(s.mean), _fmt(s.median), _fmt(s.variance)]
+        + [_fmt(q) for q in s.quantiles] + [_fmt(p) for p in s.percentiles]
+        + [str(s.count)] for name, s in summaries.items()))
 
 
 def write_ecdf(curves: dict[str, tuple[np.ndarray, np.ndarray]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "error", "cdf"])
-        for name, (x, f) in curves.items():
-            for xv, fv in zip(x, f):
-                writer.writerow([name, _fmt(xv), _fmt(fv)])
+    _write_csv(path, ECDF_HEADER, ([name, _fmt(xv), _fmt(fv)]
+                                   for name, (x, f) in curves.items()
+                                   for xv, fv in zip(x, f)))
 
 
-def write_gmm(model: GmmModel, path) -> None:
-    dump_json({"schema": GMM_SCHEMA, **model_to_json(model)}, path)
-
-
-def read_gmm(path) -> GmmModel:
-    doc = load_json(path)
-    if doc.get("schema") != GMM_SCHEMA:
-        raise DataFormatError(
-            f"expected schema {GMM_SCHEMA!r}, got {doc.get('schema')!r}")
-    if doc.get("type") != _MODEL_TAGS[GmmModel]:
-        raise DataFormatError("GMM file does not contain a gmm model")
-    return model_from_json({k: v for k, v in doc.items() if k != "schema"})
+def write_residuals(values, path) -> None:
+    _write_csv(path, RESIDUAL_HEADER, ([_fmt(v)] for v in np.asarray(values).ravel()))
 
 
 def read_residuals(path) -> np.ndarray:
     """Single-column CSV (header 'residual') of scalar residuals."""
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["residual"]:
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        for row in reader:
-            try:
-                values.append(float(row[0]))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}: malformed row: {exc}") from exc
-    return np.asarray(values)
-
-
-def write_residuals(values, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["residual"])
-        for v in np.asarray(values).ravel():
-            writer.writerow([_fmt(v)])
+    return np.asarray(_read_csv(path, RESIDUAL_HEADER,
+                                lambda rows: [float(v) for (v,) in rows]))

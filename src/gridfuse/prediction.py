@@ -49,24 +49,32 @@ class MotionInput:
         return replace(self, dt=dt)
 
 
+@lru_cache(maxsize=64)
+def _offsets(cell_size: float, radius_cells: int):
+    """Read-only distances and bearings over the (2r+1)^2 displacement window.
+
+    Cached by (cell size, radius) rather than per workspace, so the cache
+    holds no workspace (and no grid) alive.
+    """
+    r = radius_cells
+    di, dj = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1),
+                         indexing="ij")
+    dx = di * cell_size
+    dy = dj * cell_size
+    dist = np.hypot(dx, dy)
+    bearing = np.arctan2(dy, dx)
+    dist.setflags(write=False)
+    bearing.setflags(write=False)
+    return dist, bearing
+
+
 class TransitionWorkspace:
-    """Caches displacement geometry (distances and bearings) for one grid."""
+    """Displacement geometry (distances and bearings) for one grid."""
 
     def __init__(self, spec: GridSpec):
         if spec.ndim != 2:
             raise ValueError("motion prediction operates on 2D grids")
         self.spec = spec
-
-    @lru_cache(maxsize=64)
-    def _offsets(self, radius_cells: int):
-        r = radius_cells
-        di, dj = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1),
-                             indexing="ij")
-        dx = di * self.spec.cell_size
-        dy = dj * self.spec.cell_size
-        dist = np.hypot(dx, dy)
-        bearing = np.arctan2(dy, dx)
-        return dist, bearing
 
     def radius_cells(self, motion: MotionInput) -> int:
         h = self.spec.cell_size
@@ -78,35 +86,28 @@ class TransitionWorkspace:
         max_r = max(self.spec.extent) - 1
         return int(min(np.ceil(reach / h), max_r))
 
-    def velocity_kernel(self, motion: MotionInput) -> np.ndarray:
-        """N(v*dt - d; 0, (sigma_v*dt)^2) over the truncated displacement window."""
-        dist, _ = self._offsets(self.radius_cells(motion))
+    def transition_kernel(self, motion: MotionInput) -> np.ndarray:
+        """Transition likelihood over the truncated displacement window.
+
+        Without speed, an isotropic 2D random walk N(d; 0, (sigma_rw*dt)^2).
+        With speed, N(v*dt - d; 0, (sigma_v*dt)^2); with a heading as well,
+        that times a directional cone along the heading whose zero
+        displacement gets the isotropic limit weight 1/(2 pi).
+        """
+        r = self.radius_cells(motion)
+        dist, bearing = _offsets(self.spec.cell_size, r)
+        if motion.speed is None:
+            sigma = motion.sigma_rw * motion.dt
+            return np.exp(-0.5 * (dist / sigma) ** 2) / (_TWO_PI * sigma ** 2)
         sigma = motion.sigma_speed * motion.dt
         resid = motion.speed * motion.dt - dist
-        return np.exp(-0.5 * (resid / sigma) ** 2) / (_SQRT_2PI * sigma)
-
-    def heading_kernel(self, motion: MotionInput) -> np.ndarray:
-        """Directional cone along the heading; the zero displacement gets the
-        isotropic limit weight 1/(2 pi)."""
-        r = self.radius_cells(motion)
-        dist, bearing = self._offsets(r)
-        sigma = motion.sigma_heading
-        resid = wrap_angle(motion.heading - bearing)
         kern = np.exp(-0.5 * (resid / sigma) ** 2) / (_SQRT_2PI * sigma)
-        kern[r, r] = 1.0 / _TWO_PI
-        return kern
-
-    def random_walk_kernel(self, motion: MotionInput) -> np.ndarray:
-        dist, _ = self._offsets(self.radius_cells(motion))
-        sigma = motion.sigma_rw * motion.dt
-        return np.exp(-0.5 * (dist / sigma) ** 2) / (_TWO_PI * sigma ** 2)
-
-    def transition_kernel(self, motion: MotionInput) -> np.ndarray:
-        if motion.speed is None:
-            return self.random_walk_kernel(motion)
-        kern = self.velocity_kernel(motion)
         if motion.heading is not None:
-            kern = kern * self.heading_kernel(motion)
+            sigma = motion.sigma_heading
+            resid = wrap_angle(motion.heading - bearing)
+            cone = np.exp(-0.5 * (resid / sigma) ** 2) / (_SQRT_2PI * sigma)
+            cone[r, r] = 1.0 / _TWO_PI
+            kern = kern * cone
         return kern
 
 

@@ -38,6 +38,11 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["simulate", "--config", str(bad),
                  "--out", str(tmp_path)]) == EXIT_DATA
+    bad.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(bad),
+                 "--out", str(tmp_path)]) == EXIT_DATA
+    assert main(["filter", "--config", str(bad), "--observations",
+                 str(tmp_path / "obs.csv"), "--out", str(tmp_path)]) == EXIT_DATA
     capsys.readouterr()
 
 

@@ -3,20 +3,21 @@ import pytest
 
 from gridfuse.engine import (DEFAULT_BSSD_GMM, DEFAULT_UWB_MODEL, FilterConfig,
                              FusionEngine)
-from gridfuse.fileio import (DataFormatError, dump_json, filter_config_from_json,
-                             filter_config_to_json, grid_from_json, grid_to_json,
-                             load_json, model_from_json, model_to_json,
-                             read_estimates, read_gmm, read_ground_truth,
-                             read_observations, read_residuals,
-                             scenario_from_json, scenario_to_json, write_estimates,
-                             write_gmm, write_ground_truth, write_observations,
-                             write_residuals)
+from gridfuse.fileio import (ESTIMATE_HEADER, OBS_HEADER, RESIDUAL_HEADER,
+                             TRUTH_HEADER, DataFormatError, dump_json,
+                             filter_config_from_json, filter_config_to_json,
+                             grid_from_json, grid_to_json, load_json,
+                             model_from_json, model_to_json, read_estimates,
+                             read_gmm, read_ground_truth, read_observations,
+                             read_residuals, scenario_from_json, scenario_to_json,
+                             write_estimates, write_gmm, write_ground_truth,
+                             write_observations, write_residuals)
 from gridfuse.grid import GridSpec
 from gridfuse.noise import (GaussianModel, GmmModel, MixtureLikelihoodModel,
                             UniformModel)
 from gridfuse.observations import (Angle, Observation, Odometry, Range,
                                    RangeDifference)
-from gridfuse.simulator import generate, make_static_scenario
+from gridfuse.simulator import Trajectory, generate, make_static_scenario
 
 
 def test_model_json_round_trip():
@@ -86,6 +87,12 @@ def test_scenario_schema_checked():
         scenario_from_json(doc)
 
 
+def test_scenario_trajectory_kind_only_takes_defaults():
+    doc = scenario_to_json(make_static_scenario(n_epochs=10))
+    doc["trajectory"] = {"kind": "circuit"}
+    assert scenario_from_json(doc).trajectory == Trajectory("circuit")
+
+
 def test_observations_csv_round_trip(tmp_path):
     sc = make_static_scenario(n_epochs=30, seed=5)
     events, _ = generate(sc)
@@ -107,19 +114,32 @@ def test_observation_float_precision(tmp_path):
     assert back[0].payload.value == value
 
 
-def test_observations_bad_header(tmp_path):
-    path = tmp_path / "obs.csv"
+# reader, its header, and a data row it cannot parse
+CSV_READERS = {
+    "observations": (read_observations, OBS_HEADER,
+                     "abc,uwb,range,A01,3.0,,,,"),
+    "truth": (read_ground_truth, TRUTH_HEADER, "0.5,1.0,north,0.0"),
+    "estimates": (read_estimates, ESTIMATE_HEADER, "0.5,1,2,0,3.5,0.1,1.0,4"),
+    "residuals": (read_residuals, RESIDUAL_HEADER, "1.0,2.0"),
+}
+
+
+@pytest.mark.parametrize("kind", CSV_READERS)
+def test_csv_reader_bad_header(tmp_path, kind):
+    reader, _, _ = CSV_READERS[kind]
+    path = tmp_path / "data.csv"
     path.write_text("time,value\n0,1\n")
-    with pytest.raises(DataFormatError):
-        read_observations(path)
+    with pytest.raises(DataFormatError, match="unexpected header"):
+        reader(path)
 
 
-def test_observations_malformed_row(tmp_path):
-    path = tmp_path / "obs.csv"
-    path.write_text("t,sensor,type,ref_ids,v1,v2,v3,v4,v5\n"
-                    "abc,uwb,range,A01,3.0,,,,\n")
-    with pytest.raises(DataFormatError):
-        read_observations(path)
+@pytest.mark.parametrize("kind", CSV_READERS)
+def test_csv_reader_malformed_row(tmp_path, kind):
+    reader, header, bad_row = CSV_READERS[kind]
+    path = tmp_path / "data.csv"
+    path.write_text(",".join(header) + "\n" + bad_row + "\n")
+    with pytest.raises(DataFormatError, match="malformed row"):
+        reader(path)
 
 
 def test_ground_truth_round_trip(tmp_path):
@@ -164,6 +184,22 @@ def test_filter_config_round_trip():
     assert cfg2.bssd_routing.los_nlos == cfg.bssd_routing.los_nlos
 
 
+def test_filter_config_required_keys_only_takes_defaults():
+    required = ("schema", "grid", "anchors", "range_model", "tdoa_model",
+                "aoa_model", "bssd_gmm")
+    doc = filter_config_to_json(FilterConfig(combine_mode="product",
+                                             sigma_rw=3.0, max_gap=1.0),
+                                GridSpec((0, 0), 0.5, (10, 10)), ())
+    cfg, _, _ = filter_config_from_json({k: doc[k] for k in required})
+    default = FilterConfig()
+    for name in ("combine_mode", "estimate_radius", "sigma_speed",
+                 "sigma_heading", "sigma_rw", "max_gap", "recenter_enabled"):
+        assert getattr(cfg, name) == getattr(default, name), name
+    for name in required[3:]:
+        with pytest.raises(DataFormatError):
+            filter_config_from_json({k: doc[k] for k in required if k != name})
+
+
 def test_gmm_file_round_trip(tmp_path):
     gmm = GmmModel((0.5, 0.5), (-1.0, 4.0), (1.0, 2.0))
     path = tmp_path / "model.json"
@@ -180,6 +216,9 @@ def test_gmm_file_schema_checked(tmp_path):
         dump_json({"schema": "gridfuse-gmm-v1", **other}, path)
         with pytest.raises(DataFormatError):
             read_gmm(path)
+    dump_json([1, 2], path)
+    with pytest.raises(DataFormatError, match="JSON object"):
+        read_gmm(path)
 
 
 def test_residuals_round_trip(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -167,3 +169,14 @@ def test_chapman_kolmogorov_matches_dense_oracle():
 
     out = predict(field, motion, ws)
     assert np.allclose(out.mass, pred, atol=1e-9)
+
+
+def test_dropped_workspace_is_collected():
+    """The displacement cache must not keep workspaces (or their grids) alive."""
+    ws = TransitionWorkspace(GridSpec((0.0, 0.0), 0.5, (30, 30)))
+    ws.transition_kernel(MotionInput(2.0, 0.3))
+    ws.transition_kernel(MotionInput(None, None))
+    ref = weakref.ref(ws)
+    del ws
+    gc.collect()
+    assert ref() is None
