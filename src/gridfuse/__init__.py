@@ -4,8 +4,7 @@ pseudoranges, terrestrial radio observations and odometry."""
 from .engine import FilterConfig, FusionEngine
 from .estimation import Estimate, estimate, map_estimate, weighted_mean
 from .geometry import ReferencePoint
-from .grid import (DegenerateFieldError, GridSpec, LikelihoodField, init_uniform,
-                   normalize, recenter)
+from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform, recenter
 from .metrics import ErrorSeries, StatsSummary, ecdf, error_series, summarize
 from .noise import (CalibrationFailureError, GaussianModel, GmmModel,
                     MixtureLikelihoodModel, UniformModel, density, fit_gmm, sample)
@@ -28,7 +27,7 @@ __all__ = [
     "RangeDifference", "ReferencePoint", "SatelliteObservation", "Scenario",
     "TransitionWorkspace", "UniformModel", "combine", "density", "estimate",
     "fit_gmm", "generate", "init_uniform", "make_dynamic_scenario",
-    "make_static_scenario", "map_estimate", "normalize", "predict", "recenter",
+    "make_static_scenario", "map_estimate", "predict", "recenter",
     "sample", "update_aoa", "update_gnss_bssd", "update_range", "update_tdoa",
     "weighted_mean",
 ]

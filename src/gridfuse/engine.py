@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -94,9 +95,27 @@ class FusionEngine:
         return 5.0 * self.field.spec.cell_size if r is None else r
 
     def admit(self, obs: Observation) -> AdmitResult:
-        """Timing consistency check; out-of-sequence events are dropped."""
+        """Entry check; a rejected event leaves no trace. Reasons: OutOfSequence,
+        NonFinite (any payload value, satellite positions included),
+        UnknownAnchor (an id not among the anchors) and NegativeSpeed."""
         if self.last_timestamp is not None and obs.timestamp < self.last_timestamp:
             return AdmitResult(False, "OutOfSequence")
+        p = obs.payload
+        if isinstance(p, GnssPseudoranges):
+            values = [v for s in p.satellites for v in (s.pseudorange, *s.position)]
+            refs = []
+        elif isinstance(p, Odometry):
+            values, refs = [p.speed, p.heading], []
+        elif isinstance(p, RangeDifference):
+            values, refs = [p.value], [p.ref_a_id, p.ref_b_id]
+        else:
+            values, refs = [p.value], [p.anchor_id]
+        if not all(map(math.isfinite, values)):
+            return AdmitResult(False, "NonFinite")
+        if not all(r in self.anchors for r in refs):
+            return AdmitResult(False, "UnknownAnchor")
+        if isinstance(p, Odometry) and p.speed < 0:
+            return AdmitResult(False, "NegativeSpeed")
         if (self.last_timestamp is not None
                 and obs.timestamp - self.last_timestamp > self.config.max_gap):
             return AdmitResult(True, reinit_recommended=True)
@@ -115,16 +134,16 @@ class FusionEngine:
         cfg = self.config
         payload = obs.payload
         if isinstance(payload, Range):
-            anchor = self._anchor(payload.anchor_id)
+            anchor = self.anchors[payload.anchor_id]
             self.field = update_range(self.field, payload, anchor,
                                       cfg.range_model, cfg.combine_mode)
         elif isinstance(payload, RangeDifference):
-            ref_a = self._anchor(payload.ref_a_id)
-            ref_b = self._anchor(payload.ref_b_id)
+            ref_a = self.anchors[payload.ref_a_id]
+            ref_b = self.anchors[payload.ref_b_id]
             self.field = update_tdoa(self.field, payload, ref_a, ref_b,
                                      cfg.tdoa_model, cfg.combine_mode)
         elif isinstance(payload, Angle):
-            anchor = self._anchor(payload.anchor_id)
+            anchor = self.anchors[payload.anchor_id]
             self.field = update_aoa(self.field, payload, anchor,
                                     cfg.aoa_model, cfg.combine_mode)
         elif isinstance(payload, GnssPseudoranges):
@@ -132,12 +151,6 @@ class FusionEngine:
                                           cfg.bssd_routing, cfg.combine_mode)
         else:
             raise TypeError(f"unexpected payload {type(payload).__name__}")
-
-    def _anchor(self, anchor_id: str) -> ReferencePoint:
-        try:
-            return self.anchors[anchor_id]
-        except KeyError:
-            raise KeyError(f"unknown anchor id {anchor_id!r}") from None
 
     def _maybe_recenter(self, est: Estimate) -> None:
         spec = self.field.spec
@@ -155,12 +168,23 @@ class FusionEngine:
         self.field = recenter(self.field, tuple(new_origin))
         log.info("recentered grid on MAP cell, new origin %s", tuple(new_origin))
 
+    def _reinit_on_collapse(self, stage, arg) -> None:
+        """Run one posterior stage (predict or update); if the posterior
+        collapses to no usable mass, restart from a uniform field."""
+        try:
+            stage(arg)
+        except DegenerateFieldError:
+            log.warning("posterior collapse at t=%.3f; reinitializing uniform",
+                        self.last_timestamp)
+            self.field = init_uniform(self.field.spec)
+            self.reinit_count += 1
+
     def step(self, obs: Observation) -> Estimate | None:
         """Process one admitted event; returns an estimate for positioning events."""
         dt = 0.0 if self.last_timestamp is None else obs.timestamp - self.last_timestamp
-        if dt > 0.0:
-            self._predict(dt)
         self.last_timestamp = obs.timestamp
+        if dt > 0.0:
+            self._reinit_on_collapse(self._predict, dt)
 
         if isinstance(obs.payload, Odometry):
             cfg = self.config
@@ -169,14 +193,7 @@ class FusionEngine:
                                       1.0, cfg.sigma_rw)
             return None
 
-        try:
-            self._update(obs)
-        except DegenerateFieldError:
-            log.warning("likelihood collapse at t=%.3f; reinitializing uniform",
-                        obs.timestamp)
-            self.field = init_uniform(self.field.spec)
-            self.reinit_count += 1
-
+        self._reinit_on_collapse(self._update, obs)
         est = estimate(self.field, self.estimate_radius, obs.timestamp)
         self.estimates.append(est)
         if self.config.recenter_enabled:

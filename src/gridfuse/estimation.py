@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DegenerateFieldError, LikelihoodField
+from .grid import LikelihoodField
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,6 @@ class Estimate:
 
 def map_estimate(field: LikelihoodField) -> int:
     """Argmax cell; ties resolved to the lowest linear index."""
-    total = field.mass.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise DegenerateFieldError("cannot take MAP of a massless field")
     return int(np.argmax(field.mass))
 
 
@@ -40,17 +37,15 @@ def _weighted_mean_and_support(field: LikelihoodField, center: int,
         support = np.ones(spec.num_cells, dtype=bool)
     else:
         support = np.linalg.norm(pos - center_pos, axis=1) <= radius
-    mass = field.mass[support]
-    total = mass.sum()
-    if total <= 0.0:
-        return center_pos.copy(), support
-    return (mass[:, None] * pos[support]).sum(axis=0) / total, support
+    mass = field.mass[support]  # includes the MAP center, so the total is > 0
+    return (mass[:, None] * pos[support]).sum(axis=0) / mass.sum(), support
 
 
 def weighted_mean(field: LikelihoodField, center: int, radius: float) -> np.ndarray:
-    """Mass-weighted centroid of cells within ``radius`` of the MAP position.
+    """Mass-weighted centroid of cells within ``radius`` of ``center``, the
+    MAP cell (so the neighbourhood holds mass).
 
-    Returns a 3-vector; 2D grids report the grid plane height as z.
+    Returns a 3-vector whose z is the grid plane height.
     """
     return _weighted_mean_and_support(field, center, radius)[0]
 
@@ -60,12 +55,11 @@ def estimate(field: LikelihoodField, radius: float,
     """Two-step estimate: MAP, then weighted mean over the MAP neighborhood."""
     map_cell = map_estimate(field)
     pos, support = _weighted_mean_and_support(field, map_cell, radius)
-    total = field.mass.sum()
     return Estimate(
         timestamp=timestamp,
         position=tuple(float(v) for v in pos),
         map_cell=map_cell,
-        map_mass=float(field.mass[map_cell] / total),
+        map_mass=float(field.mass[map_cell] / field.mass.sum()),
         wm_radius=radius,
         support_count=int(support.sum()),
     )

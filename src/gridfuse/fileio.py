@@ -1,8 +1,10 @@
 """File formats: JSON configs (versioned schema field) and one-header CSV data.
 
 Each format is declared once. A CSV format is a header constant plus a row
-writer and a row parser, passed to ``_write_csv`` / ``_read_csv``. A JSON reader passes only the keys a document holds to the
-dataclass it builds, so every optional key takes its default from that class.
+writer and a row parser, passed to ``_write_csv`` / ``_read_csv``. A JSON
+reader passes only the keys a document holds to the dataclass it builds, so
+every optional key takes its default from that class. Every JSON object has
+one policy for keys it does not know: a ``DataFormatError`` naming them.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ def model_from_json(doc: dict):
         kind = doc["type"]
         cls = _MODEL_CLASSES.get(kind)
         if cls is not None:
+            _check_keys(doc, ["type", *(f.name for f in fields(cls))], f"{kind} model")
             args = []
             for f in fields(cls):
                 value = doc[f.name]
@@ -125,12 +128,18 @@ def model_from_json(doc: dict):
 
 # ----------------------------------------------------------- JSON documents
 
+def _check_keys(doc: dict, known, what: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise DataFormatError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _build(cls, doc: dict, **convert):
-    """``cls`` from the keys of ``doc`` that name its fields (others are
-    ignored), each value passed through ``convert[key]`` if given. Absent keys
-    take the dataclass defaults."""
-    return cls(**{f.name: convert[f.name](doc[f.name]) if f.name in convert
-                  else doc[f.name] for f in fields(cls) if f.name in doc})
+    """``cls`` from ``doc``, whose keys must name fields of ``cls``; each value
+    passes through ``convert[key]`` if given. Absent keys take the dataclass
+    defaults."""
+    _check_keys(doc, [f.name for f in fields(cls)], cls.__name__)
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
 
 
 def _check_schema(doc, schema: str) -> None:
@@ -158,6 +167,8 @@ def _anchor_to_json(a: ReferencePoint) -> dict:
 
 
 def _anchors_from_json(docs) -> tuple[ReferencePoint, ...]:
+    for a in docs:
+        _check_keys(a, ("id", "position"), "anchor")
     return tuple(ReferencePoint(a["id"], a["position"]) for a in docs)
 
 
@@ -186,19 +197,21 @@ def scenario_to_json(s: Scenario) -> dict:
 def scenario_from_json(doc: dict) -> Scenario:
     _check_schema(doc, SCENARIO_SCHEMA)
     try:
+        body = {k: v for k, v in doc.items() if k not in ("schema", "rates")}
         rates = doc["rates"]
+        _check_keys(rates, ("gnss", "uwb", "odometry"), "rates")
         return _build(
             Scenario,
-            {**doc, "gnss_rate": rates["gnss"], "uwb_rate": rates["uwb"],
+            {**body, "gnss_rate": rates["gnss"], "uwb_rate": rates["uwb"],
              "odometry_rate": rates["odometry"]},
             grid=grid_from_json,
             anchors=_anchors_from_json,
             satellites=lambda docs: tuple(map(_satellite_from_json, docs)),
             trajectory=lambda d: _build(Trajectory, d, position=tuple,
                                         center=tuple),
-            uwb_noise=lambda d: UwbNoiseConfig(**d),
-            gnss_noise=lambda d: GnssNoiseConfig(**d),
-            odometry_noise=lambda d: OdometryNoiseConfig(**d))
+            uwb_noise=lambda d: _build(UwbNoiseConfig, d),
+            gnss_noise=lambda d: _build(GnssNoiseConfig, d),
+            odometry_noise=lambda d: _build(OdometryNoiseConfig, d))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad scenario config: {exc}") from exc
 
@@ -206,6 +219,8 @@ def scenario_from_json(doc: dict) -> Scenario:
 _FILTER_SCALARS = ("combine_mode", "estimate_radius", "sigma_speed",
                    "sigma_heading", "sigma_rw", "max_gap", "recenter_enabled")
 _FILTER_MODELS = ("range_model", "tdoa_model", "aoa_model")
+_FILTER_KEYS = ("schema", "grid", "anchors", "bssd_gmm", *_FILTER_SCALARS,
+                *_FILTER_MODELS)
 
 
 def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
@@ -229,6 +244,7 @@ def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
 def filter_config_from_json(doc: dict):
     """Returns (FilterConfig, GridSpec, anchors); the models are required."""
     _check_schema(doc, FILTER_SCHEMA)
+    _check_keys(doc, _FILTER_KEYS, "filter config")
     try:
         cfg = FilterConfig(
             **{k: doc[k] for k in _FILTER_SCALARS if k in doc},
@@ -248,7 +264,7 @@ def read_gmm(path) -> GmmModel:
     _check_schema(doc, GMM_SCHEMA)
     if doc.get("type") != _MODEL_TAGS[GmmModel]:
         raise DataFormatError("GMM file does not contain a gmm model")
-    return model_from_json(doc)
+    return model_from_json({k: v for k, v in doc.items() if k != "schema"})
 
 
 def load_json(path):

@@ -11,8 +11,6 @@ import numpy as np
 # innovations cannot collapse the whole field to zero mass.
 MASS_FLOOR = 1e-300
 
-NORMALIZATION_TOL = 1e-9
-
 
 class DegenerateFieldError(ValueError):
     """Raised when a likelihood field carries no usable mass (all zero / non-finite)."""
@@ -20,15 +18,15 @@ class DegenerateFieldError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned, equidistant lattice of position hypotheses.
+    """Axis-aligned, equidistant 2D lattice of position hypotheses.
 
-    ``origin`` is the metric position of cell (0, ..., 0); ``extent`` the cell
-    count per axis. 2D grids live in the x-y plane at ``plane_height``.
+    ``origin`` is the metric (x, y) position of cell (0, 0); ``extent`` the
+    cell count per axis. The lattice lies in the x-y plane at ``plane_height``.
     """
 
-    origin: tuple[float, ...]
+    origin: tuple[float, float]
     cell_size: float
-    extent: tuple[int, ...]
+    extent: tuple[int, int]
     plane_height: float = 0.0
 
     def __post_init__(self):
@@ -36,24 +34,16 @@ class GridSpec:
         object.__setattr__(self, "extent", tuple(int(v) for v in self.extent))
         if self.cell_size <= 0:
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
-        if len(self.extent) not in (2, 3):
-            raise ValueError("grid must be 2D or 3D")
-        if len(self.origin) != len(self.extent):
-            raise ValueError("origin and extent dimensionality differ")
+        if len(self.origin) != 2 or len(self.extent) != 2:
+            raise ValueError("grid must be 2D: origin and extent take two entries")
         if any(e < 2 for e in self.extent):
             raise ValueError(f"every extent must be >= 2, got {self.extent}")
-        if self.num_cells < 4:
-            raise ValueError("grid must contain at least 4 cells")
         if not all(np.isfinite(self.origin)):
             raise ValueError("origin must be finite")
 
     @property
-    def ndim(self) -> int:
-        return len(self.extent)
-
-    @property
     def num_cells(self) -> int:
-        return int(np.prod(self.extent))
+        return self.extent[0] * self.extent[1]
 
     def index_to_coords(self, index):
         """Linear index -> per-axis integer coordinates (C order)."""
@@ -67,30 +57,30 @@ class GridSpec:
         return np.asarray(self.origin) + coords * self.cell_size
 
     def positions(self) -> np.ndarray:
-        """(I, ndim) metric positions of all cells, C-order (read-only view)."""
-        return _cached_positions(self)[:, :self.ndim]
+        """(I, 2) metric positions of all cells, C-order (read-only view)."""
+        return _cached_positions(self)[:, :2]
 
     def positions_3d(self) -> np.ndarray:
-        """(I, 3) positions; 2D grids are padded with the plane height."""
+        """(I, 3) positions, z being the plane height."""
         return _cached_positions(self)
 
 
 @lru_cache(maxsize=4)
 def _cached_positions(spec: GridSpec) -> np.ndarray:
-    axes = [spec.origin[d] + spec.cell_size * np.arange(spec.extent[d])
-            for d in range(spec.ndim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    columns = [m.ravel() for m in mesh]
-    if spec.ndim == 2:
-        columns.append(np.full(spec.num_cells, spec.plane_height))
-    pos = np.stack(columns, axis=-1)
+    x, y = (spec.origin[d] + spec.cell_size * np.arange(spec.extent[d])
+            for d in range(2))
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    pos = np.stack([xx.ravel(), yy.ravel(), np.full(spec.num_cells, spec.plane_height)],
+                   axis=-1)
     pos.setflags(write=False)
     return pos
 
 
 @dataclass(frozen=True)
 class LikelihoodField:
-    """Non-negative mass per grid cell; normalized fields sum to 1."""
+    """Posterior mass per grid cell, normalized to sum 1 on construction: the
+    one check that the mass matches the grid, is non-negative and has a
+    finite, positive total (else ``DegenerateFieldError``)."""
 
     spec: GridSpec
     mass: np.ndarray
@@ -102,26 +92,22 @@ class LikelihoodField:
                 f"mass length {mass.shape} does not match grid size {self.spec.num_cells}")
         if np.any(mass < 0):
             raise ValueError("mass entries must be non-negative")
-        mass = mass.copy()
+        mass = normalize(mass)
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
-
-    @property
-    def total(self) -> float:
-        return float(self.mass.sum())
 
 
 def init_uniform(spec: GridSpec) -> LikelihoodField:
     """Uniform field: every cell carries 1/I."""
-    n = spec.num_cells
-    return LikelihoodField(spec, np.full(n, 1.0 / n))
+    return LikelihoodField(spec, np.ones(spec.num_cells))
 
 
-def normalize(field: LikelihoodField) -> LikelihoodField:
-    total = field.mass.sum()
+def normalize(mass: np.ndarray) -> np.ndarray:
+    """``mass / mass.sum()``; a zero or non-finite total is degenerate."""
+    total = mass.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateFieldError("field has no usable mass to normalize")
-    return LikelihoodField(field.spec, field.mass / total)
+    return mass / total
 
 
 def recenter(field: LikelihoodField, new_origin, floor: float = MASS_FLOOR) -> LikelihoodField:
@@ -132,7 +118,7 @@ def recenter(field: LikelihoodField, new_origin, floor: float = MASS_FLOOR) -> L
     """
     spec = field.spec
     new_origin = tuple(float(v) for v in new_origin)
-    if len(new_origin) != spec.ndim:
+    if len(new_origin) != 2:
         raise ValueError("new_origin dimensionality mismatch")
     offset_f = (np.asarray(new_origin) - np.asarray(spec.origin)) / spec.cell_size
     offset = np.rint(offset_f).astype(int)
@@ -141,14 +127,9 @@ def recenter(field: LikelihoodField, new_origin, floor: float = MASS_FLOOR) -> L
 
     grid = field.mass.reshape(spec.extent)
     shifted = np.full_like(grid, floor)
-    src = []
-    dst = []
-    for d in range(spec.ndim):
-        o = offset[d]
-        n = spec.extent[d]
-        src.append(slice(max(o, 0), min(n, n + o)))
-        dst.append(slice(max(-o, 0), min(n, n - o)))
+    src = [slice(max(o, 0), min(n, n + o)) for o, n in zip(offset, spec.extent)]
+    dst = [slice(max(-o, 0), min(n, n - o)) for o, n in zip(offset, spec.extent)]
     if all(s.start < s.stop for s in src):
         shifted[tuple(dst)] = grid[tuple(src)]
     new_spec = GridSpec(new_origin, spec.cell_size, spec.extent, spec.plane_height)
-    return normalize(LikelihoodField(new_spec, shifted.ravel()))
+    return LikelihoodField(new_spec, shifted.ravel())

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from dataclasses import dataclass
 
 LOS = "LOS"
 NLOS = "NLOS"
@@ -77,6 +76,6 @@ class Observation:
     payload: Payload
 
     def __post_init__(self):
-        if not np.isfinite(self.timestamp):
+        if not math.isfinite(self.timestamp):
             raise ValueError("observation timestamp must be finite")
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.signal import oaconvolve
 
 from .geometry import wrap_angle
-from .grid import GridSpec, LikelihoodField, normalize
+from .grid import GridSpec, LikelihoodField
 
 _TWO_PI = 2.0 * np.pi
 _SQRT_2PI = np.sqrt(_TWO_PI)
@@ -72,8 +72,6 @@ class TransitionWorkspace:
     """Displacement geometry (distances and bearings) for one grid."""
 
     def __init__(self, spec: GridSpec):
-        if spec.ndim != 2:
-            raise ValueError("motion prediction operates on 2D grids")
         self.spec = spec
 
     def radius_cells(self, motion: MotionInput) -> int:
@@ -125,4 +123,4 @@ def predict(posterior: LikelihoodField, motion: MotionInput,
     cell's mass (a Chapman-Kolmogorov step).
     """
     pred = _convolve_field(posterior, ws.transition_kernel(motion))
-    return normalize(LikelihoodField(posterior.spec, pred))
+    return LikelihoodField(posterior.spec, pred)

@@ -9,8 +9,7 @@ import numpy as np
 
 from .geometry import (ReferencePoint, gamma_angle, gamma_distance,
                        gamma_hyperbolic, innovations)
-from .grid import (MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField,
-                   normalize)
+from .grid import MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField
 from .noise import GmmModel, density
 from .observations import LOS, NLOS, Angle, GnssPseudoranges, Range, RangeDifference
 
@@ -49,37 +48,28 @@ class BssdRouting:
         return None
 
 
-def _sample_likelihood(model, y: np.ndarray) -> np.ndarray:
-    """Per-cell density of the innovations; undefined cells become neutral.
-
-    Cells flagged NaN (e.g. angle to a coincident reference) contribute their
-    prior mass unchanged, which for a likelihood array means the average value.
-    """
-    valid = np.isfinite(y)
-    like = np.zeros_like(y)
-    like[valid] = density(model, y[valid])
-    if not np.all(valid):
-        fill = like[valid].mean() if np.any(valid) else 1.0
-        like[~valid] = fill
-    return like
-
-
 def likelihood_range(grid: GridSpec, obs: Range, anchor: ReferencePoint,
                      model) -> np.ndarray:
-    y = innovations(obs.value, gamma_distance(anchor, grid))
-    return _sample_likelihood(model, y)
+    return density(model, innovations(obs.value, gamma_distance(anchor, grid)))
 
 
 def likelihood_tdoa(grid: GridSpec, obs: RangeDifference, ref_a: ReferencePoint,
                     ref_b: ReferencePoint, model) -> np.ndarray:
-    y = innovations(obs.value, gamma_hyperbolic(ref_a, ref_b, grid))
-    return _sample_likelihood(model, y)
+    return density(model, innovations(obs.value, gamma_hyperbolic(ref_a, ref_b, grid)))
 
 
 def likelihood_aoa(grid: GridSpec, obs: Angle, anchor: ReferencePoint,
                    model) -> np.ndarray:
+    """Per-cell bearing likelihood. A cell under the anchor has no bearing; it
+    takes the mean likelihood of the others, so it keeps its prior share."""
     y = innovations(obs.value, gamma_angle(anchor, grid), wrap=True)
-    return _sample_likelihood(model, y)
+    defined = np.isfinite(y)
+    if np.all(defined):
+        return density(model, y)
+    like = np.empty_like(y)
+    like[defined] = density(model, y[defined])
+    like[~defined] = like[defined].mean()
+    return like
 
 
 def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
@@ -100,7 +90,7 @@ def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
                 continue
             delta_rho = a.pseudorange - b.pseudorange
             y = delta_rho - (dists[a.sat_id] - dists[b.sat_id])
-            arrays.append(_sample_likelihood(model, y))
+            arrays.append(density(model, y))
     return arrays
 
 
@@ -121,7 +111,7 @@ def combine(prior: LikelihoodField, likelihoods: list[np.ndarray],
             raise DegenerateFieldError("summed observation likelihood carries no mass")
         post = (total / s) * prior.mass
     elif mode == PRODUCT:
-        post = prior.mass.copy()
+        post = prior.mass
         for arr in likelihoods:
             post = post * arr
     else:
@@ -129,8 +119,7 @@ def combine(prior: LikelihoodField, likelihoods: list[np.ndarray],
     s = post.sum()
     if s <= 0 or not np.isfinite(s):
         raise DegenerateFieldError("posterior mass collapsed during combine")
-    post = np.maximum(post, MASS_FLOOR)
-    return normalize(LikelihoodField(prior.spec, post))
+    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR))
 
 
 def update_range(prior: LikelihoodField, obs: Range, anchor: ReferencePoint,

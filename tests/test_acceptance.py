@@ -15,7 +15,7 @@ from gridfuse.engine import FilterConfig, FusionEngine
 from gridfuse.estimation import map_estimate
 from gridfuse.fileio import read_gmm, write_residuals
 from gridfuse.geometry import ReferencePoint
-from gridfuse.grid import GridSpec, LikelihoodField, init_uniform, normalize
+from gridfuse.grid import GridSpec, LikelihoodField, init_uniform
 from gridfuse.metrics import error_series, summarize
 from gridfuse.noise import GaussianModel, GmmModel, sample
 from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
@@ -108,7 +108,7 @@ def test_02_oracle_equivalence_hundred_updates():
         extent = (int(rng.integers(5, 21)), int(rng.integers(5, 21)))
         spec = GridSpec(tuple(rng.uniform(-10, 10, 2)),
                         float(rng.uniform(0.3, 1.5)), extent)
-        prior = normalize(LikelihoodField(spec, rng.random(spec.num_cells) + 0.01))
+        prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
         a = ReferencePoint("a", tuple(rng.uniform(-20, 20, 3)))
         b = ReferencePoint("b", tuple(rng.uniform(-20, 20, 3)))
         sigma = float(rng.uniform(0.3, 3.0))

@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridfuse.engine import AdmitResult, FilterConfig, FusionEngine
 from gridfuse.geometry import ReferencePoint
 from gridfuse.grid import GridSpec, init_uniform
 from gridfuse.noise import GaussianModel
-from gridfuse.observations import (LOS, GnssPseudoranges, Observation, Odometry,
-                                   Range, SatelliteObservation)
-from gridfuse.update import bssd_pair_likelihoods, combine
+from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
+                                   Odometry, Range, RangeDifference,
+                                   SatelliteObservation)
+from gridfuse.update import bssd_pair_likelihoods, combine, update_range
 
 SPEC = GridSpec((-10.0, -10.0), 1.0, (21, 21))
 ANCHORS = [
@@ -116,6 +119,103 @@ def test_run_is_deterministic_and_order_insensitive():
     assert len(e1) == len(e2)
     for a, b in zip(e1, e2):
         assert a == b
+
+
+def _with_satellite(obs, **change):
+    """The GNSS event ``obs`` with its first satellite's fields replaced."""
+    first, *rest = obs.payload.satellites
+    return Observation(obs.timestamp,
+                       GnssPseudoranges((replace(first, **change), *rest)))
+
+
+# Invalid events: a maker taking the timestamp, and the reason admit gives.
+BAD_EVENTS = {
+    "range_nan": (lambda t: Observation(t, Range("A1", math.nan)), "NonFinite"),
+    "angle_inf": (lambda t: Observation(t, Angle("A2", math.inf)), "NonFinite"),
+    "tdoa_nan": (lambda t: Observation(t, RangeDifference("A1", "A2", math.nan)),
+                 "NonFinite"),
+    "pseudorange_nan": (lambda t: _with_satellite(gnss_obs(t), pseudorange=math.nan),
+                        "NonFinite"),
+    "satellite_position_inf": (
+        lambda t: _with_satellite(gnss_obs(t), position=(math.inf, 0.0, 2e7)),
+        "NonFinite"),
+    "speed_nan": (lambda t: Observation(t, Odometry(math.nan, 0.0)), "NonFinite"),
+    "heading_inf": (lambda t: Observation(t, Odometry(1.0, -math.inf)), "NonFinite"),
+    "range_unknown_anchor": (lambda t: Observation(t, Range("A99", 3.0)),
+                             "UnknownAnchor"),
+    "tdoa_unknown_anchor": (lambda t: Observation(t, RangeDifference("A1", "A99", 1.0)),
+                            "UnknownAnchor"),
+    "angle_unknown_anchor": (lambda t: Observation(t, Angle("B1", 0.3)),
+                             "UnknownAnchor"),
+    "negative_speed": (lambda t: Observation(t, Odometry(-1.0, 0.0)), "NegativeSpeed"),
+}
+
+
+def clean_stream():
+    """Noiseless GNSS, range, TDoA, AoA and odometry events around TRUTH."""
+    def dist(a):
+        return float(np.linalg.norm(np.asarray(a.position) - TRUTH))
+
+    events = []
+    for k in range(6):
+        t = 0.5 * (k + 1)
+        a, b = ANCHORS[k % 3], ANCHORS[(k + 1) % 3]
+        bearing = math.atan2(a.position[1] - TRUTH[1], a.position[0] - TRUTH[0])
+        events += [gnss_obs(t), range_obs(t + 0.1, a),
+                   Observation(t + 0.2, RangeDifference(a.id, b.id, dist(a) - dist(b))),
+                   Observation(t + 0.25, Odometry(0.2, 0.1)),
+                   Observation(t + 0.3, Angle(a.id, bearing))]
+    return events
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_EVENTS))
+def test_run_rejects_invalid_event_with_reason(kind):
+    make, reason = BAD_EVENTS[kind]
+    bad = make(1.0)
+    eng = FusionEngine(SPEC, ANCHORS)
+    assert eng.admit(bad) == AdmitResult(False, reason)
+    ests = eng.run([range_obs(0.5, ANCHORS[0]), bad, range_obs(1.5, ANCHORS[1])])
+    assert len(ests) == 2 and len(eng.rejected) == 1
+    assert eng.rejected[0][0] is bad and eng.rejected[0][1] == reason
+
+
+@pytest.fixture(scope="module")
+def clean_run():
+    events = clean_stream()
+    eng = FusionEngine(SPEC, ANCHORS)
+    return events, eng.run(events), eng.field.mass
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(BAD_EVENTS)),
+                          st.floats(min_value=0.0, max_value=4.0)),
+                min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_invalid_events_leave_no_trace(clean_run, inserts, rnd):
+    """Invalid events anywhere in a valid stream are rejected with their
+    reason, and the estimates stay bit-identical to the clean stream's."""
+    clean, clean_estimates, clean_mass = clean_run
+    bad = [(BAD_EVENTS[kind][0](t), BAD_EVENTS[kind][1]) for kind, t in inserts]
+    events = list(clean)
+    for obs, _ in bad:
+        events.insert(rnd.randrange(len(events) + 1), obs)
+    eng = FusionEngine(SPEC, ANCHORS)
+    ests = eng.run(events)
+    assert {id(o): r for o, r in eng.rejected} == {id(o): r for o, r in bad}
+    assert ests == clean_estimates
+    assert np.array_equal(eng.field.mass, clean_mass)
+
+
+def test_prediction_collapse_reinitializes():
+    """A motion kernel that underflows everywhere restarts the posterior
+    uniform, and the event's own update still applies."""
+    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
+    rng = range_obs(0.5, ANCHORS[0])
+    ests = eng.run([Observation(0.1, Odometry(100.0, 0.0)), rng])
+    assert eng.reinit_count == 1 and len(ests) == 1
+    expected = update_range(init_uniform(SPEC), rng.payload, ANCHORS[0],
+                            eng.config.range_model)
+    assert np.array_equal(eng.field.mass, expected.mass)
 
 
 def test_unknown_anchor_raises():

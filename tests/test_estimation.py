@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gridfuse.estimation import estimate, map_estimate, weighted_mean
-from gridfuse.grid import (DegenerateFieldError, GridSpec, LikelihoodField,
-                           init_uniform, normalize)
+from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
 
 
 def test_map_argmax_and_tie_break():
@@ -41,7 +40,7 @@ def test_weighted_mean_radius_excludes_far_mass():
 def test_weighted_mean_infinite_radius_is_global_centroid():
     spec = GridSpec((0, 0), 0.5, (10, 10))
     rng = np.random.default_rng(0)
-    field = normalize(LikelihoodField(spec, rng.random(100)))
+    field = LikelihoodField(spec, rng.random(100))
     wm = weighted_mean(field, map_estimate(field), radius=np.inf)
     expected = (field.mass[:, None] * spec.positions_3d()).sum(axis=0)
     assert np.allclose(wm, expected, atol=1e-12)
@@ -87,7 +86,7 @@ def test_subcell_refinement_beats_map():
     for _ in range(100):
         truth = np.array([rng.uniform(4, 10), rng.uniform(4, 10), 0.0])
         d2 = ((pos - truth) ** 2).sum(axis=1)
-        field = normalize(LikelihoodField(spec, np.exp(-0.5 * d2 / 1.5 ** 2)))
+        field = LikelihoodField(spec, np.exp(-0.5 * d2 / 1.5 ** 2))
         cell = map_estimate(field)
         map_err = np.linalg.norm(pos[cell] - truth)
         wm_err = np.linalg.norm(weighted_mean(field, cell, radius=5.0) - truth)

@@ -12,6 +12,7 @@ from gridfuse.fileio import (ESTIMATE_HEADER, OBS_HEADER, RESIDUAL_HEADER,
                              read_residuals, scenario_from_json, scenario_to_json,
                              write_estimates, write_gmm, write_ground_truth,
                              write_observations, write_residuals)
+from gridfuse.geometry import ReferencePoint
 from gridfuse.grid import GridSpec
 from gridfuse.noise import (GaussianModel, GmmModel, MixtureLikelihoodModel,
                             UniformModel)
@@ -46,6 +47,8 @@ def test_model_json_rejects_garbage():
         model_from_json(mixture)
     with pytest.raises(DataFormatError):
         model_from_json({**mixture, "primary": 3.0})
+    with pytest.raises(DataFormatError, match="'sdt'"):
+        model_from_json({"type": "gaussian", "mean": 0.0, "std": 1.0, "sdt": 1.0})
 
 
 def test_default_models_json_literal():
@@ -84,6 +87,18 @@ def test_scenario_schema_checked():
     doc = scenario_to_json(sc)
     doc["schema"] = "something-else"
     with pytest.raises(DataFormatError):
+        scenario_from_json(doc)
+
+
+@pytest.mark.parametrize("section", [None, "grid", "trajectory", "rates",
+                                     "uwb_noise", "anchors", "satellites"])
+def test_scenario_rejects_unknown_keys(section):
+    doc = scenario_to_json(make_static_scenario(n_epochs=10))
+    target = doc if section is None else doc[section]
+    if isinstance(target, list):
+        target = target[0]
+    target["sped"] = 1.0
+    with pytest.raises(DataFormatError, match="'sped'"):
         scenario_from_json(doc)
 
 
@@ -200,6 +215,18 @@ def test_filter_config_required_keys_only_takes_defaults():
             filter_config_from_json({k: doc[k] for k in required if k != name})
 
 
+@pytest.mark.parametrize("section", [None, "grid", "range_model", "anchors"])
+def test_filter_config_rejects_unknown_keys(section):
+    doc = filter_config_to_json(FilterConfig(), GridSpec((0, 0), 0.5, (10, 10)),
+                                (ReferencePoint("A1", (1.0, 2.0, 3.0)),))
+    target = doc if section is None else doc[section]
+    if isinstance(target, list):
+        target = target[0]
+    target["sigma_sped"] = 3.0
+    with pytest.raises(DataFormatError, match="'sigma_sped'"):
+        filter_config_from_json(doc)
+
+
 def test_gmm_file_round_trip(tmp_path):
     gmm = GmmModel((0.5, 0.5), (-1.0, 4.0), (1.0, 2.0))
     path = tmp_path / "model.json"
@@ -212,7 +239,9 @@ def test_gmm_file_schema_checked(tmp_path):
     dump_json({"schema": "wrong", "type": "gmm"}, path)
     with pytest.raises(DataFormatError):
         read_gmm(path)
-    for other in ({"type": "gaussian", "mean": 0.0, "std": 1.0}, {"type": []}):
+    gmm = model_to_json(GmmModel((0.5, 0.5), (-1.0, 4.0), (1.0, 2.0)))
+    for other in ({"type": "gaussian", "mean": 0.0, "std": 1.0}, {"type": []},
+                  {**gmm, "weigths": [1.0]}):
         dump_json({"schema": "gridfuse-gmm-v1", **other}, path)
         with pytest.raises(DataFormatError):
             read_gmm(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridfuse.grid import (DegenerateFieldError, GridSpec, LikelihoodField,
-                           init_uniform, normalize, recenter)
+                           init_uniform, recenter)
 
 
 def test_init_uniform_10x10():
@@ -19,6 +19,7 @@ def test_init_uniform_2x2():
 def test_init_uniform_normalized():
     field = init_uniform(GridSpec((0, 0), 0.5, (50, 40)))
     assert abs(field.mass.sum() - 1.0) < 1e-12
+    assert np.all(field.mass == 1.0 / 2000)  # exactly 1/I, as the engine resets to
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -27,6 +28,7 @@ def test_init_uniform_normalized():
     dict(origin=(0, 0), cell_size=1.0, extent=(1, 5)),
     dict(origin=(0, 0, 0), cell_size=1.0, extent=(5, 5)),
     dict(origin=(0,), cell_size=1.0, extent=(5,)),
+    dict(origin=(0, 0, 0), cell_size=1.0, extent=(4, 4, 4)),
 ])
 def test_invalid_specs(kwargs):
     with pytest.raises(ValueError):
@@ -34,25 +36,41 @@ def test_invalid_specs(kwargs):
 
 
 def test_normalize_examples():
+    """The constructor divides by the total and keeps a read-only copy."""
     spec = GridSpec((0, 0), 1.0, (2, 2))
-    f = normalize(LikelihoodField(spec, [2, 2, 0, 0]))
+    f = LikelihoodField(spec, [2, 2, 0, 0])
     assert np.allclose(f.mass, [0.5, 0.5, 0, 0])
-    f = normalize(LikelihoodField(spec, [0, 3, 1, 0]))
+    raw = np.array([0.0, 3.0, 1.0, 0.0])
+    f = LikelihoodField(spec, raw)
     assert np.allclose(f.mass, [0, 0.75, 0.25, 0])
+    assert raw[1] == 3.0 and not f.mass.flags.writeable
 
 
 def test_normalize_all_zero_raises():
     spec = GridSpec((0, 0), 1.0, (2, 2))
     with pytest.raises(DegenerateFieldError):
-        normalize(LikelihoodField(spec, np.zeros(4)))
+        LikelihoodField(spec, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_field_non_finite_mass_raises(bad):
+    spec = GridSpec((0, 0), 1.0, (2, 2))
+    with pytest.raises(DegenerateFieldError):
+        LikelihoodField(spec, [0.5, bad, 0.25, 0.25])
+
+
+@pytest.mark.parametrize("mass", [[0.5, -0.1, 0.3, 0.3], [0.5, 0.5, 0.0]])
+def test_field_rejects_negative_or_misshaped_mass(mass):
+    spec = GridSpec((0, 0), 1.0, (2, 2))
+    with pytest.raises(ValueError):
+        LikelihoodField(spec, mass)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=16, max_size=16)
        .filter(lambda xs: sum(xs) > 0))
 def test_normalize_preserves_argmax_ties(masses):
     spec = GridSpec((0, 0), 1.0, (4, 4))
-    field = LikelihoodField(spec, masses)
-    normed = normalize(field)
+    normed = LikelihoodField(spec, masses)
     assert abs(normed.mass.sum() - 1.0) < 1e-9
     # scaling by 1/total keeps every original maximum maximal (division can
     # merge almost-equal values, so the tie set may only grow)
@@ -64,12 +82,13 @@ def test_normalize_preserves_argmax_ties(masses):
 
 
 def test_index_round_trip():
-    spec = GridSpec((2.0, -3.0, 1.0), 0.5, (4, 5, 3))
+    spec = GridSpec((2.0, -3.0), 0.5, (4, 5))
     for i in range(spec.num_cells):
         coords = spec.index_to_coords(i)
         assert spec.coords_to_index(coords) == i
     pos = spec.index_to_position(7)
-    assert pos.shape == (3,)
+    assert pos.shape == (2,)
+    assert np.array_equal(pos, spec.positions()[7])
 
 
 def test_positions_layout():
@@ -90,13 +109,11 @@ def test_positions_share_one_read_only_cache():
     assert np.array_equal(spec.positions(), pos3[:, :2])
     assert spec.positions_3d() is pos3
     assert not pos3.flags.writeable and not spec.positions().flags.writeable
-    spec3 = GridSpec((0.0, 0.0, 0.0), 1.0, (2, 2, 3))
-    assert np.array_equal(spec3.positions(), spec3.positions_3d())
 
 
 def test_recenter_identity():
     spec = GridSpec((0, 0), 1.0, (8, 8))
-    field = normalize(LikelihoodField(spec, np.random.default_rng(0).random(64)))
+    field = LikelihoodField(spec, np.random.default_rng(0).random(64))
     shifted = recenter(field, (0.0, 0.0))
     assert np.allclose(shifted.mass, field.mass, atol=1e-12)
 
@@ -132,6 +149,6 @@ def test_recenter_round_trip_conservation():
     rng = np.random.default_rng(1)
     mass = np.zeros((10, 10))
     mass[3:7, 3:7] = rng.random((4, 4))  # zero boundary mass
-    field = normalize(LikelihoodField(spec, mass.ravel()))
+    field = LikelihoodField(spec, mass.ravel())
     back = recenter(recenter(field, (2.0, 1.0)), (0.0, 0.0))
     assert np.max(np.abs(back.mass - field.mass)) < 1e-12

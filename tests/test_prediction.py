@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gridfuse.grid import GridSpec, LikelihoodField, init_uniform, normalize
+from gridfuse.grid import GridSpec, LikelihoodField, init_uniform
 from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (21, 21))
@@ -90,7 +90,7 @@ def test_bimodal_posterior_stays_bimodal():
 
 def test_prediction_normalized_and_nonnegative():
     rng = np.random.default_rng(0)
-    field = normalize(LikelihoodField(SPEC, rng.random(SPEC.num_cells)))
+    field = LikelihoodField(SPEC, rng.random(SPEC.num_cells))
     for motion in [MotionInput(2.0, 0.3, dt=0.5), MotionInput(1.0, None, dt=2.0),
                    MotionInput(None, None, dt=1.0)]:
         out = predict(field, motion, WS)
@@ -101,7 +101,7 @@ def test_prediction_normalized_and_nonnegative():
 def test_prediction_spreads_mass():
     """A prediction step never sharpens the field (entropy does not drop)."""
     rng = np.random.default_rng(1)
-    field = normalize(LikelihoodField(SPEC, rng.random(SPEC.num_cells) ** 4))
+    field = LikelihoodField(SPEC, rng.random(SPEC.num_cells) ** 4)
 
     def entropy(m):
         m = m[m > 0]
@@ -137,7 +137,7 @@ def test_chapman_kolmogorov_matches_dense_oracle():
     spec = GridSpec((0.0, 0.0), 1.0, (9, 9))
     ws = TransitionWorkspace(spec)
     rng = np.random.default_rng(2)
-    field = normalize(LikelihoodField(spec, rng.random(spec.num_cells)))
+    field = LikelihoodField(spec, rng.random(spec.num_cells))
     motion = MotionInput(1.5, 0.4, sigma_speed=0.4, sigma_heading=0.3, dt=1.0)
 
     sigma_v = motion.sigma_speed * motion.dt

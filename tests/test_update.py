@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gridfuse.geometry import ReferencePoint
-from gridfuse.grid import (DegenerateFieldError, GridSpec, LikelihoodField,
-                           init_uniform, normalize)
+from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
 from gridfuse.noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Range,
                                    RangeDifference, SatelliteObservation)
@@ -54,7 +53,7 @@ def test_noiseless_range_map_at_truth():
 def test_range_outlier_dominated_keeps_prior_argmax():
     spec = GridSpec((0, 0), 1.0, (10, 10))
     rng = np.random.default_rng(0)
-    prior = normalize(LikelihoodField(spec, rng.random(100) + 0.1))
+    prior = LikelihoodField(spec, rng.random(100) + 0.1)
     anchor = ReferencePoint("a", (5.0, 5.0, 0.0))
     # Z is dozens of sigma away from every possible range but still within the
     # uniform outlier band: the likelihood is flat, so the prior shape survives
@@ -66,7 +65,7 @@ def test_range_outlier_dominated_keeps_prior_argmax():
 def test_range_oracle_equivalence():
     spec = GridSpec((0, 0), 1.0, (12, 12))
     rng = np.random.default_rng(1)
-    prior = normalize(LikelihoodField(spec, rng.random(spec.num_cells) + 0.01))
+    prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
     anchor = ReferencePoint("a", (3.3, 8.1, 1.5))
     post = update_range(prior, Range("a", 6.4), anchor, UWB_MODEL)
     expected = naive_range_posterior(prior, anchor.position, 6.4, 0.05, 0.31,
@@ -97,7 +96,7 @@ def test_tdoa_swap_and_negate_identical():
     a = ReferencePoint("a", (1.0, 2.0, 0.0))
     b = ReferencePoint("b", (7.0, 6.0, 0.0))
     rng = np.random.default_rng(2)
-    prior = normalize(LikelihoodField(spec, rng.random(81) + 0.01))
+    prior = LikelihoodField(spec, rng.random(81) + 0.01)
     m = GaussianModel(0.0, 0.7)
     p1 = update_tdoa(prior, RangeDifference("a", "b", 2.5), a, b, m)
     p2 = update_tdoa(prior, RangeDifference("b", "a", -2.5), b, a, m)
