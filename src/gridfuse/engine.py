@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .estimation import Estimate, estimate
-from .geometry import ReferencePoint
+from .geometry import ReferencePoint, coincident
 from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform, recenter
 from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
@@ -97,7 +97,9 @@ class FusionEngine:
     def admit(self, obs: Observation) -> AdmitResult:
         """Entry check; a rejected event leaves no trace. Reasons: OutOfSequence,
         NonFinite (any payload value, satellite positions included),
-        UnknownAnchor (an id not among the anchors) and NegativeSpeed."""
+        UnknownAnchor (an id not among the anchors), CoincidentReferences (a
+        TDoA whose two references are one id or one position) and
+        NegativeSpeed."""
         if self.last_timestamp is not None and obs.timestamp < self.last_timestamp:
             return AdmitResult(False, "OutOfSequence")
         p = obs.payload
@@ -114,6 +116,8 @@ class FusionEngine:
             return AdmitResult(False, "NonFinite")
         if not all(r in self.anchors for r in refs):
             return AdmitResult(False, "UnknownAnchor")
+        if isinstance(p, RangeDifference) and coincident(*(self.anchors[r] for r in refs)):
+            return AdmitResult(False, "CoincidentReferences")
         if isinstance(p, Odometry) and p.speed < 0:
             return AdmitResult(False, "NegativeSpeed")
         if (self.last_timestamp is not None
@@ -180,7 +184,9 @@ class FusionEngine:
             self.reinit_count += 1
 
     def step(self, obs: Observation) -> Estimate | None:
-        """Process one admitted event; returns an estimate for positioning events."""
+        """Process one admitted event; returns an estimate for positioning
+        events. A step that reinitialised the field does not recenter on it."""
+        reinits = self.reinit_count
         dt = 0.0 if self.last_timestamp is None else obs.timestamp - self.last_timestamp
         self.last_timestamp = obs.timestamp
         if dt > 0.0:
@@ -196,7 +202,7 @@ class FusionEngine:
         self._reinit_on_collapse(self._update, obs)
         est = estimate(self.field, self.estimate_radius, obs.timestamp)
         self.estimates.append(est)
-        if self.config.recenter_enabled:
+        if self.config.recenter_enabled and self.reinit_count == reinits:
             self._maybe_recenter(est)
         return est
 

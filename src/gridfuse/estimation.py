@@ -26,19 +26,30 @@ def map_estimate(field: LikelihoodField) -> int:
 
 
 def _weighted_mean_and_support(field: LikelihoodField, center: int,
-                               radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid of the cells within ``radius`` of ``center`` and their mask."""
+                               radius: float) -> tuple[np.ndarray, int]:
+    """Centroid of the cells within ``radius`` of ``center`` and their count.
+
+    Only the index window of half-width ``radius / cell_size + 1`` cells around
+    the center (clipped at the border; the whole grid for an infinite radius)
+    is tested, and its cells are taken in C order, as a full-grid mask would.
+    """
     spec = field.spec
     if not math.isinf(radius) and radius < spec.cell_size:
         raise ValueError("radius must be >= cell_size (or inf)")
-    pos = spec.positions_3d()
-    center_pos = pos[center]
-    if math.isinf(radius):
-        support = np.ones(spec.num_cells, dtype=bool)
-    else:
-        support = np.linalg.norm(pos - center_pos, axis=1) <= radius
-    mass = field.mass[support]  # includes the MAP center, so the total is > 0
-    return (mass[:, None] * pos[support]).sum(axis=0) / mass.sum(), support
+    half = max(spec.extent) if math.isinf(radius) else int(radius // spec.cell_size) + 1
+    ci, cj = spec.index_to_coords(center)
+    window = (slice(max(ci - half, 0), ci + half + 1),
+              slice(max(cj - half, 0), cj + half + 1))
+    x_all, y_all = spec.axes()
+    x, y = x_all[window[0]], y_all[window[1]]
+    dx, dy = x - x_all[ci], y - y_all[cj]
+    support = np.sqrt(np.add.outer(dx * dx, dy * dy)) <= radius
+    # includes the MAP center, so the total is > 0
+    mass = field.mass.reshape(spec.extent)[window][support]
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    pos = np.stack([xx[support], yy[support],
+                    np.full(mass.size, spec.plane_height)], axis=-1)
+    return (mass[:, None] * pos).sum(axis=0) / mass.sum(), mass.size
 
 
 def weighted_mean(field: LikelihoodField, center: int, radius: float) -> np.ndarray:
@@ -54,12 +65,12 @@ def estimate(field: LikelihoodField, radius: float,
              timestamp: float = 0.0) -> Estimate:
     """Two-step estimate: MAP, then weighted mean over the MAP neighborhood."""
     map_cell = map_estimate(field)
-    pos, support = _weighted_mean_and_support(field, map_cell, radius)
+    pos, support_count = _weighted_mean_and_support(field, map_cell, radius)
     return Estimate(
         timestamp=timestamp,
         position=tuple(float(v) for v in pos),
         map_cell=map_cell,
         map_mass=float(field.mass[map_cell] / field.mass.sum()),
         wm_radius=radius,
-        support_count=int(support.sum()),
+        support_count=support_count,
     )

@@ -50,16 +50,28 @@ def gamma_distance(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
     """Euclidean range from the reference to every cell (ToA / RTT relation).
 
     On 2D grids the out-of-plane difference ref_z - plane_height is kept, so
-    satellite elevation enters even when the state is planar.
+    satellite elevation enters even when the state is planar. The squared
+    differences are taken per axis and broadcast over the lattice, which is
+    the arithmetic of ``norm(positions - ref, axis=1)`` in the same order.
     """
-    diff = grid.positions_3d() - ref.xyz
-    return np.linalg.norm(diff, axis=1)
+    x, y = grid.axes()
+    dx = x - ref.position[0]
+    dy = y - ref.position[1]
+    dz = grid.plane_height - ref.position[2]
+    d2 = np.add.outer(dx * dx, dy * dy)
+    d2 += dz * dz
+    return np.sqrt(d2, out=d2).ravel()
+
+
+def coincident(ref_a: ReferencePoint, ref_b: ReferencePoint) -> bool:
+    """True when two references sit at one position (no TDoA relation)."""
+    return bool(np.allclose(ref_a.xyz, ref_b.xyz))
 
 
 def gamma_hyperbolic(ref_a: ReferencePoint, ref_b: ReferencePoint,
                      grid: GridSpec) -> np.ndarray:
     """Range difference |x_a - x_i| - |x_b - x_i| (TDoA relation)."""
-    if np.allclose(ref_a.xyz, ref_b.xyz):
+    if coincident(ref_a, ref_b):
         raise ValueError(f"coincident references {ref_a.id}, {ref_b.id}")
     return gamma_distance(ref_a, grid) - gamma_distance(ref_b, grid)
 
@@ -69,11 +81,11 @@ def gamma_angle(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
 
     Cells coinciding with the reference in the x-y plane get ANGLE_UNDEFINED.
     """
-    pos = grid.positions()
-    dx = ref.position[0] - pos[:, 0]
-    dy = ref.position[1] - pos[:, 1]
-    gamma = wrap_angle(np.arctan2(dy, dx))
-    undefined = (dx == 0.0) & (dy == 0.0)
+    x, y = grid.axes()
+    dx = ref.position[0] - x
+    dy = ref.position[1] - y
+    gamma = wrap_angle(np.arctan2(dy[None, :], dx[:, None])).ravel()
+    undefined = np.logical_and.outer(dx == 0.0, dy == 0.0).ravel()
     if np.any(undefined):
         gamma = np.where(undefined, ANGLE_UNDEFINED, gamma)
     return gamma

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,24 +55,16 @@ class GridSpec:
         coords = np.stack(self.index_to_coords(index), axis=-1)
         return np.asarray(self.origin) + coords * self.cell_size
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis coordinate vectors (x of each row, y of each column). The
+        lattice is separable: cell (i, j) sits at (x[i], y[j])."""
+        return tuple(self.origin[d] + self.cell_size * np.arange(self.extent[d])
+                     for d in range(2))
+
     def positions(self) -> np.ndarray:
-        """(I, 2) metric positions of all cells, C-order (read-only view)."""
-        return _cached_positions(self)[:, :2]
-
-    def positions_3d(self) -> np.ndarray:
-        """(I, 3) positions, z being the plane height."""
-        return _cached_positions(self)
-
-
-@lru_cache(maxsize=4)
-def _cached_positions(spec: GridSpec) -> np.ndarray:
-    x, y = (spec.origin[d] + spec.cell_size * np.arange(spec.extent[d])
-            for d in range(2))
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    pos = np.stack([xx.ravel(), yy.ravel(), np.full(spec.num_cells, spec.plane_height)],
-                   axis=-1)
-    pos.setflags(write=False)
-    return pos
+        """(I, 2) metric positions of all cells, C order."""
+        xx, yy = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([xx.ravel(), yy.ravel()], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -101,25 +101,29 @@ def combine(prior: LikelihoodField, likelihoods: list[np.ndarray],
     mode="sum": likelihood arrays are summed and normalized, then multiplied
     elementwise with the prior (the filter's native combination rule).
     mode="product": canonical Bayes, elementwise product of everything.
+    Both accumulate into one buffer in list order.
     """
     if not likelihoods:
         return prior
     if mode == SUM:
-        total = np.sum(likelihoods, axis=0)
-        s = total.sum()
+        post = np.array(likelihoods[0], dtype=float)
+        for arr in likelihoods[1:]:
+            post += arr
+        s = post.sum()
         if s <= 0 or not np.isfinite(s):
             raise DegenerateFieldError("summed observation likelihood carries no mass")
-        post = (total / s) * prior.mass
+        post /= s
+        post *= prior.mass
     elif mode == PRODUCT:
-        post = prior.mass
-        for arr in likelihoods:
-            post = post * arr
+        post = prior.mass * likelihoods[0]
+        for arr in likelihoods[1:]:
+            post *= arr
     else:
         raise ValueError(f"unknown combination mode {mode!r}")
     s = post.sum()
     if s <= 0 or not np.isfinite(s):
         raise DegenerateFieldError("posterior mass collapsed during combine")
-    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR))
+    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR, out=post))
 
 
 def update_range(prior: LikelihoodField, obs: Range, anchor: ReferencePoint,

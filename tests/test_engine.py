@@ -19,6 +19,7 @@ ANCHORS = [
     ReferencePoint("A1", (-9.0, -9.0, 2.0)),
     ReferencePoint("A2", (9.0, -9.0, 2.0)),
     ReferencePoint("A3", (0.0, 9.0, 2.0)),
+    ReferencePoint("A4", (-9.0, -9.0, 2.0)),  # co-located with A1
 ]
 TRUTH = np.array([1.0, 2.0, 0.0])
 
@@ -148,6 +149,11 @@ BAD_EVENTS = {
     "angle_unknown_anchor": (lambda t: Observation(t, Angle("B1", 0.3)),
                              "UnknownAnchor"),
     "negative_speed": (lambda t: Observation(t, Odometry(-1.0, 0.0)), "NegativeSpeed"),
+    "tdoa_same_reference": (lambda t: Observation(t, RangeDifference("A2", "A2", 0.0)),
+                            "CoincidentReferences"),
+    "tdoa_colocated_references": (
+        lambda t: Observation(t, RangeDifference("A1", "A4", 0.0)),
+        "CoincidentReferences"),
 }
 
 
@@ -233,6 +239,16 @@ def test_likelihood_collapse_reinitializes():
     assert eng.reinit_count == 1
     assert np.allclose(eng.field.mass, 1.0 / SPEC.num_cells)
     assert est is not None
+
+
+def test_reinit_step_does_not_recenter():
+    """A collapsed update leaves a flat field whose argmax is cell 0, a grid
+    corner; the grid must not walk toward it."""
+    cfg = FilterConfig(combine_mode="product", range_model=GaussianModel(0.0, 1e-3))
+    eng = FusionEngine(SPEC, ANCHORS, cfg)
+    ests = eng.run([Observation(0.0, Range("A1", 1000.0))])
+    assert eng.reinit_count == 1 and len(ests) == 1
+    assert eng.field.spec.origin == SPEC.origin
 
 
 def test_converges_near_truth_with_noiseless_ranges():

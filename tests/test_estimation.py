@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gridfuse.estimation import estimate, map_estimate, weighted_mean
+from gridfuse.estimation import Estimate, estimate, map_estimate, weighted_mean
 from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
 
 
@@ -42,8 +44,8 @@ def test_weighted_mean_infinite_radius_is_global_centroid():
     rng = np.random.default_rng(0)
     field = LikelihoodField(spec, rng.random(100))
     wm = weighted_mean(field, map_estimate(field), radius=np.inf)
-    expected = (field.mass[:, None] * spec.positions_3d()).sum(axis=0)
-    assert np.allclose(wm, expected, atol=1e-12)
+    expected = (field.mass[:, None] * spec.positions()).sum(axis=0)
+    assert np.allclose(wm, [*expected, 0.0], atol=1e-12)
 
 
 def test_weighted_mean_small_radius_raises():
@@ -80,7 +82,7 @@ def test_estimate_uniform_support_count():
 def test_subcell_refinement_beats_map():
     """The weighted mean recovers sub-cell offsets the MAP cell cannot."""
     spec = GridSpec((0, 0), 1.0, (15, 15))
-    pos = spec.positions_3d()
+    pos = np.column_stack([spec.positions(), np.zeros(spec.num_cells)])
     rng = np.random.default_rng(2)
     wins = 0
     for _ in range(100):
@@ -93,3 +95,34 @@ def test_subcell_refinement_beats_map():
         if wm_err <= map_err:
             wins += 1
     assert wins >= 80
+
+
+def full_grid_estimate(field, radius, timestamp=0.0):
+    """Reference: the radius test applied to every cell of the grid."""
+    spec = field.spec
+    pos = np.column_stack([spec.positions(), np.full(spec.num_cells, spec.plane_height)])
+    center = map_estimate(field)
+    if math.isinf(radius):
+        support = np.ones(spec.num_cells, dtype=bool)
+    else:
+        support = np.linalg.norm(pos - pos[center], axis=1) <= radius
+    mass = field.mass[support]
+    wm = (mass[:, None] * pos[support]).sum(axis=0) / mass.sum()
+    return Estimate(timestamp, tuple(float(v) for v in wm), center,
+                    float(field.mass[center] / field.mass.sum()), radius,
+                    int(support.sum()))
+
+
+@pytest.mark.parametrize("peak", [(0, 0), (23, 16), (0, 9), (12, 16), (11, 7), (2, 14)],
+                         ids=["corner", "far_corner", "edge", "far_edge", "interior",
+                              "near_edge"])
+# 3 * 0.3 // 0.3 == 2.0, yet cells three apart lie within that radius
+@pytest.mark.parametrize("radius", [2.7, 1.0, 3 * 0.3, math.inf])
+def test_estimate_window_matches_full_grid(peak, radius):
+    spec = GridSpec((-3.1, 7.45), 0.3, (24, 17), plane_height=1.2)
+    rng = np.random.default_rng(4)
+    mass = rng.random(spec.num_cells)
+    mass[spec.coords_to_index(peak)] = 2.0
+    field = LikelihoodField(spec, mass)
+    assert map_estimate(field) == spec.coords_to_index(peak)
+    assert estimate(field, radius, 3.0) == full_grid_estimate(field, radius, 3.0)

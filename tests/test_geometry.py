@@ -35,6 +35,21 @@ def test_distance_matches_scalar_loop():
         assert g[i] == pytest.approx(expected, rel=1e-12)
 
 
+def test_distance_equals_norm_of_stacked_positions():
+    """The per-axis computation is bit-identical to the (I, 3) norm."""
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        spec = GridSpec(tuple(rng.uniform(-500, 500, 2)), rng.uniform(0.05, 2.0),
+                        tuple(rng.integers(2, 40, 2)),
+                        plane_height=rng.choice([0.0, rng.uniform(-3, 3)]))
+        pos = np.column_stack([spec.positions(),
+                               np.full(spec.num_cells, spec.plane_height)])
+        for scale in (10.0, 1e3, 2e7):
+            ref = ReferencePoint("r", tuple(rng.uniform(-scale, scale, 3)))
+            assert np.array_equal(gamma_distance(ref, spec),
+                                  np.linalg.norm(pos - ref.xyz, axis=1))
+
+
 def test_distance_uses_plane_height_on_2d_grid():
     spec = GridSpec((0.0, 0.0), 1.0, (4, 4), plane_height=2.0)
     ref = ReferencePoint("r", (0.0, 0.0, 5.0))

@@ -101,14 +101,14 @@ def test_positions_layout():
     assert np.allclose(pos[4], [1.5, 2.0])
 
 
-def test_positions_share_one_read_only_cache():
+def test_positions_come_from_the_axes():
     spec = GridSpec((1.0, 2.0), 0.5, (3, 4), plane_height=1.5)
-    pos3 = spec.positions_3d()
-    assert pos3.shape == (12, 3)
-    assert np.all(pos3[:, 2] == 1.5)
-    assert np.array_equal(spec.positions(), pos3[:, :2])
-    assert spec.positions_3d() is pos3
-    assert not pos3.flags.writeable and not spec.positions().flags.writeable
+    x, y = spec.axes()
+    assert np.array_equal(x, [1.0, 1.5, 2.0]) and np.array_equal(y, [2.0, 2.5, 3.0, 3.5])
+    pos = spec.positions()
+    for i in range(spec.num_cells):
+        r, c = spec.index_to_coords(i)
+        assert np.array_equal(pos[i], [x[r], y[c]])
 
 
 def test_recenter_identity():

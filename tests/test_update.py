@@ -171,6 +171,52 @@ def tight_routing(sigma=0.05):
     return BssdRouting(g, GaussianModel(13.0, 4.5), GaussianModel(-13.0, 4.5))
 
 
+def naive_bssd_posterior(prior, sats, routing):
+    """Independent per-cell transcription of the BSSD update (sum mode):
+    every ordered pair of distinct satellites whose visibility routing gives
+    a model contributes one Gaussian density per cell."""
+    spec = prior.spec
+    like = [0.0] * spec.num_cells
+    for i in range(spec.num_cells):
+        px, py = spec.index_to_position(i)
+
+        def dist(s):
+            sx, sy, sz = s.position
+            return math.sqrt((px - sx) ** 2 + (py - sy) ** 2
+                             + (spec.plane_height - sz) ** 2)
+
+        for a in sats:
+            for b in sats:
+                model = routing.select(a.visibility, b.visibility)
+                if a is b or model is None:
+                    continue
+                y = (a.pseudorange - b.pseudorange) - (dist(a) - dist(b))
+                like[i] += naive_gauss(y, model.mean, model.std)
+    like = [v / sum(like) for v in like]
+    post = [l * p for l, p in zip(like, prior.mass)]
+    return np.asarray(post) / sum(post)
+
+
+def test_bssd_oracle_equivalence_mixed_visibility():
+    rng = np.random.default_rng(23)
+    spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (13, 11), plane_height=1.5)
+    prior = LikelihoodField(spec, rng.random(spec.num_cells))
+    truth = np.array([*spec.index_to_position(60), spec.plane_height])
+    routing = BssdRouting(GaussianModel(0.25, 3.6), GaussianModel(13.09, 4.5),
+                          GaussianModel(-12.61, 4.6))
+    vis = [LOS, NLOS, LOS, NLOS, LOS, LOS]
+    sats = []
+    for k, v in enumerate(vis):
+        az, el = rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1.4)
+        p = 2.6e7 * np.array([math.cos(el) * math.cos(az),
+                              math.cos(el) * math.sin(az), math.sin(el)])
+        rho = float(np.linalg.norm(p - truth)) + rng.normal(0, 3.0) + (13.0 if v == NLOS else 0.0)
+        sats.append(_sat(f"G{k}", tuple(p), rho, v))
+    post = update_gnss_bssd(prior, GnssPseudoranges(tuple(sats)), routing)
+    expected = naive_bssd_posterior(prior, sats, routing)
+    assert np.max(np.abs(post.mass - expected) / expected) <= 1e-12
+
+
 def test_bssd_noiseless_ridge_through_truth():
     spec = GridSpec((-10, -10), 1.0, (21, 21))
     truth = np.array([3.0, -2.0, 0.0])
