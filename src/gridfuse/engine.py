@@ -14,7 +14,7 @@ from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform,
 from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
                            RangeDifference)
-from .prediction import MotionInput, TransitionWorkspace, predict
+from .prediction import MotionInput, Transition, TransitionWorkspace, predict
 from .update import (SUM, BssdRouting, update_aoa, update_gnss_bssd, update_range,
                      update_tdoa)
 
@@ -85,6 +85,8 @@ class FusionEngine:
         self.workspace = TransitionWorkspace(spec)
         self.last_timestamp: float | None = None
         self.motion: MotionInput | None = None
+        # Prediction steps since the last update, composed into one kernel.
+        self.pending: Transition | None = None
         self.estimates: list[Estimate] = []
         self.rejected: list[tuple[Observation, str]] = []
         self.reinit_count = 0
@@ -98,8 +100,8 @@ class FusionEngine:
         """Entry check; a rejected event leaves no trace. Reasons: OutOfSequence,
         NonFinite (any payload value, satellite positions included),
         UnknownAnchor (an id not among the anchors), CoincidentReferences (a
-        TDoA whose two references are one id or one position) and
-        NegativeSpeed."""
+        TDoA whose two references are one id or one position), DuplicateSatellite
+        (a GNSS epoch in which two satellites share an id) and NegativeSpeed."""
         if self.last_timestamp is not None and obs.timestamp < self.last_timestamp:
             return AdmitResult(False, "OutOfSequence")
         p = obs.payload
@@ -118,6 +120,9 @@ class FusionEngine:
             return AdmitResult(False, "UnknownAnchor")
         if isinstance(p, RangeDifference) and coincident(*(self.anchors[r] for r in refs)):
             return AdmitResult(False, "CoincidentReferences")
+        if isinstance(p, GnssPseudoranges) and (
+                len({s.sat_id for s in p.satellites}) < len(p.satellites)):
+            return AdmitResult(False, "DuplicateSatellite")
         if isinstance(p, Odometry) and p.speed < 0:
             return AdmitResult(False, "NegativeSpeed")
         if (self.last_timestamp is not None
@@ -125,36 +130,42 @@ class FusionEngine:
             return AdmitResult(True, reinit_recommended=True)
         return AdmitResult(True)
 
-    def _predict(self, dt: float) -> None:
+    def _step_motion(self, dt: float) -> MotionInput:
+        """The zero-order-held odometry over ``dt``, or a random walk before
+        any odometry arrived."""
+        if self.motion is not None:
+            return self.motion.with_dt(dt)
         cfg = self.config
-        if self.motion is None:
-            motion = MotionInput(None, None, cfg.sigma_speed, cfg.sigma_heading,
-                                 dt, cfg.sigma_rw)
-        else:
-            motion = self.motion.with_dt(dt)
-        self.field = predict(self.field, motion, self.workspace)
+        return MotionInput(None, None, cfg.sigma_speed, cfg.sigma_heading, dt,
+                           cfg.sigma_rw)
 
-    def _update(self, obs: Observation) -> None:
+    def _apply_pending(self) -> None:
+        """Predict the field through the pending kernel, in one convolution."""
+        if self.pending is not None:
+            transition, self.pending = self.pending, None
+            self._reinit_on_collapse(
+                lambda: predict(self.field, transition, self.workspace))
+
+    def _update(self, obs: Observation) -> LikelihoodField:
         cfg = self.config
         payload = obs.payload
         if isinstance(payload, Range):
             anchor = self.anchors[payload.anchor_id]
-            self.field = update_range(self.field, payload, anchor,
-                                      cfg.range_model, cfg.combine_mode)
-        elif isinstance(payload, RangeDifference):
+            return update_range(self.field, payload, anchor,
+                                cfg.range_model, cfg.combine_mode)
+        if isinstance(payload, RangeDifference):
             ref_a = self.anchors[payload.ref_a_id]
             ref_b = self.anchors[payload.ref_b_id]
-            self.field = update_tdoa(self.field, payload, ref_a, ref_b,
-                                     cfg.tdoa_model, cfg.combine_mode)
-        elif isinstance(payload, Angle):
+            return update_tdoa(self.field, payload, ref_a, ref_b,
+                               cfg.tdoa_model, cfg.combine_mode)
+        if isinstance(payload, Angle):
             anchor = self.anchors[payload.anchor_id]
-            self.field = update_aoa(self.field, payload, anchor,
-                                    cfg.aoa_model, cfg.combine_mode)
-        elif isinstance(payload, GnssPseudoranges):
-            self.field = update_gnss_bssd(self.field, payload,
-                                          cfg.bssd_routing, cfg.combine_mode)
-        else:
-            raise TypeError(f"unexpected payload {type(payload).__name__}")
+            return update_aoa(self.field, payload, anchor,
+                              cfg.aoa_model, cfg.combine_mode)
+        if isinstance(payload, GnssPseudoranges):
+            return update_gnss_bssd(self.field, payload,
+                                    cfg.bssd_routing, cfg.combine_mode)
+        raise TypeError(f"unexpected payload {type(payload).__name__}")
 
     def _maybe_recenter(self, est: Estimate) -> None:
         spec = self.field.spec
@@ -172,11 +183,11 @@ class FusionEngine:
         self.field = recenter(self.field, tuple(new_origin))
         log.info("recentered grid on MAP cell, new origin %s", tuple(new_origin))
 
-    def _reinit_on_collapse(self, stage, arg) -> None:
-        """Run one posterior stage (predict or update); if the posterior
-        collapses to no usable mass, restart from a uniform field."""
+    def _reinit_on_collapse(self, stage) -> None:
+        """Replace the field by ``stage()`` (a predict or an update); if the
+        posterior collapses to no usable mass, restart from a uniform field."""
         try:
-            stage(arg)
+            self.field = stage()
         except DegenerateFieldError:
             log.warning("posterior collapse at t=%.3f; reinitializing uniform",
                         self.last_timestamp)
@@ -185,12 +196,15 @@ class FusionEngine:
 
     def step(self, obs: Observation) -> Estimate | None:
         """Process one admitted event; returns an estimate for positioning
-        events. A step that reinitialised the field does not recenter on it."""
+        events. Every step with dt > 0 composes its motion into the pending
+        kernel, which a positioning event applies before its update; after an
+        odometry event the field lags until the next fix (or the end of
+        ``run``). A step that reinitialised the field does not recenter on it."""
         reinits = self.reinit_count
         dt = 0.0 if self.last_timestamp is None else obs.timestamp - self.last_timestamp
         self.last_timestamp = obs.timestamp
         if dt > 0.0:
-            self._reinit_on_collapse(self._predict, dt)
+            self.pending = self.workspace.compose(self.pending, self._step_motion(dt))
 
         if isinstance(obs.payload, Odometry):
             cfg = self.config
@@ -199,7 +213,8 @@ class FusionEngine:
                                       1.0, cfg.sigma_rw)
             return None
 
-        self._reinit_on_collapse(self._update, obs)
+        self._apply_pending()
+        self._reinit_on_collapse(lambda: self._update(obs))
         est = estimate(self.field, self.estimate_radius, obs.timestamp)
         self.estimates.append(est)
         if self.config.recenter_enabled and self.reinit_count == reinits:
@@ -207,7 +222,9 @@ class FusionEngine:
         return est
 
     def run(self, events: list[Observation]) -> list[Estimate]:
-        """Sort, admit and process a whole event stream; returns the estimates."""
+        """Sort, admit and process a whole event stream; returns the estimates.
+        Any pending prediction is applied at the end, so ``field`` is the
+        posterior at ``last_timestamp``."""
         for obs in sorted(events, key=_tie_key):
             result = self.admit(obs)
             if not result.accepted:
@@ -219,4 +236,5 @@ class FusionEngine:
                 log.warning("gap > %.1f s before t=%.3f; reinitialization recommended",
                             self.config.max_gap, obs.timestamp)
             self.step(obs)
+        self._apply_pending()
         return list(self.estimates)

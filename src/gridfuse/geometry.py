@@ -77,14 +77,17 @@ def gamma_hyperbolic(ref_a: ReferencePoint, ref_b: ReferencePoint,
 
 
 def gamma_angle(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
-    """Four-quadrant bearing from each cell to the reference, in (-pi, pi].
+    """Four-quadrant bearing from each cell to the reference, in [-pi, pi]
+    as ``arctan2`` gives it (-pi where dy is -0.0, e.g. a reference at y = -0.0
+    seen from cells at y = 0); ``innovations(..., wrap=True)`` wraps after
+    differencing.
 
     Cells coinciding with the reference in the x-y plane get ANGLE_UNDEFINED.
     """
     x, y = grid.axes()
     dx = ref.position[0] - x
     dy = ref.position[1] - y
-    gamma = wrap_angle(np.arctan2(dy[None, :], dx[:, None])).ravel()
+    gamma = np.arctan2(dy[None, :], dx[:, None]).ravel()
     undefined = np.logical_and.outer(dx == 0.0, dy == 0.0).ravel()
     if np.any(undefined):
         gamma = np.where(undefined, ANGLE_UNDEFINED, gamma)
@@ -93,9 +96,7 @@ def gamma_angle(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
 
 def innovations(observation_value: float, gamma: np.ndarray,
                 wrap: bool = False) -> np.ndarray:
-    """Per-cell innovation y = Z - Gamma, optionally wrapped to (-pi, pi]."""
+    """Per-cell innovation y = Z - Gamma, optionally wrapped to (-pi, pi]
+    (an undefined, NaN Gamma stays NaN)."""
     y = observation_value - np.asarray(gamma, dtype=float)
-    if wrap:
-        valid = np.isfinite(y)
-        y = np.where(valid, wrap_angle(np.where(valid, y, 0.0)), y)
-    return y
+    return wrap_angle(y) if wrap else y

@@ -31,14 +31,16 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "extent", tuple(int(v) for v in self.extent))
-        if self.cell_size <= 0:
-            raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
+        if not (np.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
         if len(self.origin) != 2 or len(self.extent) != 2:
             raise ValueError("grid must be 2D: origin and extent take two entries")
         if any(e < 2 for e in self.extent):
             raise ValueError(f"every extent must be >= 2, got {self.extent}")
         if not all(np.isfinite(self.origin)):
             raise ValueError("origin must be finite")
+        if not np.isfinite(self.plane_height):
+            raise ValueError(f"plane_height must be finite, got {self.plane_height}")
 
     @property
     def num_cells(self) -> int:

@@ -4,6 +4,11 @@ The transition likelihood between two cells depends only on their metric
 displacement, so on an equidistant lattice the full source-to-target sum is a
 2D convolution of the posterior with a truncated transition kernel. Gaussian
 tails beyond 6 sigma are dropped from the kernel support.
+
+Convolution is associative, so several prediction steps in a row are one
+convolution with the composition of their kernels. A ``Transition`` carries
+such a composed kernel together with the summed metric reach of its steps,
+which bounds its support.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import oaconvolve
+from scipy.signal import fftconvolve
 
 from .geometry import wrap_angle
 from .grid import GridSpec, LikelihoodField
@@ -68,21 +73,35 @@ def _offsets(cell_size: float, radius_cells: int):
     return dist, bearing
 
 
+@dataclass(frozen=True)
+class Transition:
+    """A transition kernel over the (2r+1)^2 displacement window around its
+    centre, and the metric reach (summed over its steps) that sets r."""
+
+    kernel: np.ndarray
+    reach: float
+
+
 class TransitionWorkspace:
     """Displacement geometry (distances and bearings) for one grid."""
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
 
-    def radius_cells(self, motion: MotionInput) -> int:
-        h = self.spec.cell_size
+    @staticmethod
+    def reach(motion: MotionInput) -> float:
+        """Metric displacement beyond which the kernel is dropped: the mean
+        travel plus 6 sigma, or 6 sigma of the random walk."""
         if motion.speed is None:
-            reach = 6.0 * motion.sigma_rw * motion.dt + 6.0 * h
-        else:
-            reach = (motion.speed * motion.dt
-                     + 6.0 * motion.sigma_speed * motion.dt + 6.0 * h)
+            return 6.0 * motion.sigma_rw * motion.dt
+        return motion.speed * motion.dt + 6.0 * motion.sigma_speed * motion.dt
+
+    def radius_cells(self, reach: float) -> int:
+        """Kernel radius in cells for a reach in metres, with six cells of
+        slack and at most the grid extent."""
+        h = self.spec.cell_size
         max_r = max(self.spec.extent) - 1
-        return int(min(np.ceil(reach / h), max_r))
+        return int(min(np.ceil((reach + 6.0 * h) / h), max_r))
 
     def transition_kernel(self, motion: MotionInput) -> np.ndarray:
         """Transition likelihood over the truncated displacement window.
@@ -92,7 +111,7 @@ class TransitionWorkspace:
         that times a directional cone along the heading whose zero
         displacement gets the isotropic limit weight 1/(2 pi).
         """
-        r = self.radius_cells(motion)
+        r = self.radius_cells(self.reach(motion))
         dist, bearing = _offsets(self.spec.cell_size, r)
         if motion.speed is None:
             sigma = motion.sigma_rw * motion.dt
@@ -108,19 +127,41 @@ class TransitionWorkspace:
             kern = kern * cone
         return kern
 
+    def compose(self, first: Transition | None, motion: MotionInput) -> Transition:
+        """``first`` followed by one step of ``motion`` (just that step when
+        ``first`` is None).
 
-def _convolve_field(field: LikelihoodField, kernel: np.ndarray) -> np.ndarray:
-    grid = field.mass.reshape(field.spec.extent)
-    out = oaconvolve(grid, kernel, mode="same")
-    return np.maximum(out, 0.0).ravel()
+        The kernels are convolved in full and the result is cropped to the
+        radius of the summed reach, which counts the six cells of slack once
+        instead of once per step. It is scaled to sum 1, since a prediction
+        normalises anyway and a long chain of unscaled kernels would overflow
+        or underflow; a kernel that underflowed to zero stays zero, so the
+        prediction it reaches collapses.
+        """
+        kernel = self.transition_kernel(motion)
+        reach = self.reach(motion)
+        if first is not None:
+            reach += first.reach
+            kernel = fftconvolve(first.kernel, kernel, mode="full")
+            c = (kernel.shape[0] - 1) // 2
+            r = min(self.radius_cells(reach), c)
+            kernel = np.maximum(kernel[c - r:c + r + 1, c - r:c + r + 1], 0.0)
+        total = kernel.sum()
+        return Transition(kernel / total if total > 0.0 else kernel, reach)
 
 
-def predict(posterior: LikelihoodField, motion: MotionInput,
+def predict(posterior: LikelihoodField, transition: Transition | MotionInput,
             ws: TransitionWorkspace) -> LikelihoodField:
-    """Propagate the posterior through the motion model and normalize.
+    """Propagate the posterior through a transition (or one motion step) and
+    normalize.
 
     Every source-to-target transition likelihood is weighted by the source
-    cell's mass (a Chapman-Kolmogorov step).
+    cell's mass (a Chapman-Kolmogorov step), as one FFT convolution of the
+    field with the kernel. FFT rounding leaves tiny negative values, which are
+    clipped to 0.
     """
-    pred = _convolve_field(posterior, ws.transition_kernel(motion))
-    return LikelihoodField(posterior.spec, pred)
+    if isinstance(transition, MotionInput):
+        transition = ws.compose(None, transition)
+    grid = posterior.mass.reshape(posterior.spec.extent)
+    pred = fftconvolve(grid, transition.kernel, mode="same")
+    return LikelihoodField(posterior.spec, np.maximum(pred, 0.0).ravel())

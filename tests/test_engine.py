@@ -12,6 +12,7 @@ from gridfuse.noise import GaussianModel
 from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
+from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
 from gridfuse.update import bssd_pair_likelihoods, combine, update_range
 
 SPEC = GridSpec((-10.0, -10.0), 1.0, (21, 21))
@@ -151,6 +152,8 @@ BAD_EVENTS = {
     "negative_speed": (lambda t: Observation(t, Odometry(-1.0, 0.0)), "NegativeSpeed"),
     "tdoa_same_reference": (lambda t: Observation(t, RangeDifference("A2", "A2", 0.0)),
                             "CoincidentReferences"),
+    "satellite_duplicate_id": (lambda t: _with_satellite(gnss_obs(t), sat_id="G1"),
+                               "DuplicateSatellite"),
     "tdoa_colocated_references": (
         lambda t: Observation(t, RangeDifference("A1", "A4", 0.0)),
         "CoincidentReferences"),
@@ -224,6 +227,46 @@ def test_prediction_collapse_reinitializes():
     assert np.array_equal(eng.field.mass, expected.mass)
 
 
+def test_collapse_applying_pending_kernel_reinitializes():
+    """Odometry far too fast for the grid underflows the composed kernel. The
+    fix that applies it restarts from a uniform field, counted, and still
+    updates; a stream that ends in such odometry ends uniform."""
+    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
+    fix = range_obs(0.5, ANCHORS[0])
+    eng.run([range_obs(0.1, ANCHORS[1]), Observation(0.2, Odometry(1000.0, 0.0)),
+             Observation(0.3, Odometry(1000.0, 0.0)), fix])
+    assert eng.reinit_count == 1 and eng.pending is None
+    expected = update_range(init_uniform(SPEC), fix.payload, ANCHORS[0],
+                            eng.config.range_model)
+    assert np.array_equal(eng.field.mass, expected.mass)
+
+    eng.run([Observation(0.6, Odometry(1000.0, 0.0))])
+    assert eng.reinit_count == 2
+    assert np.array_equal(eng.field.mass, init_uniform(SPEC).mass)
+
+
+def test_run_ending_in_odometry_predicts_to_last_timestamp():
+    """``run`` applies the kernel still pending after the last fix, so the
+    field is the step-by-step prediction to the last event's time."""
+    cfg = FilterConfig(range_model=GaussianModel(0.0, 0.3), recenter_enabled=False)
+    fixes = [range_obs(0.1 * (k + 1), ANCHORS[k % 3]) for k in range(6)]
+    odometry = [Observation(0.7, Odometry(2.0, 0.5)),
+                Observation(0.9, Odometry(1.0, -0.4))]
+    at_last_fix = FusionEngine(SPEC, ANCHORS, cfg)
+    at_last_fix.run(fixes)
+    eng = FusionEngine(SPEC, ANCHORS, cfg)
+    assert eng.run(fixes + odometry) == at_last_fix.estimates
+    assert eng.last_timestamp == 0.9 and eng.pending is None
+
+    ws = TransitionWorkspace(SPEC)
+    random_walk = MotionInput(None, None, cfg.sigma_speed, cfg.sigma_heading, 0.1,
+                              cfg.sigma_rw)
+    moving = MotionInput(2.0, 0.5, cfg.sigma_speed, cfg.sigma_heading, 0.2, cfg.sigma_rw)
+    expected = predict(predict(at_last_fix.field, random_walk, ws), moving, ws).mass
+    assert not np.allclose(eng.field.mass, at_last_fix.field.mass)
+    assert np.max(np.abs(eng.field.mass - expected)) <= 1e-12 * expected.max()
+
+
 def test_unknown_anchor_raises():
     eng = FusionEngine(SPEC, ANCHORS)
     with pytest.raises(KeyError):
@@ -286,9 +329,10 @@ def test_zero_order_hold_motion_drives_prediction():
     for k in range(9):
         eng.step(range_obs(0.1 * (k + 1), ANCHORS[k % 3]))
     before = np.asarray(eng.estimates[-1].position)
-    # heading east at 3 m/s, then a long silent interval before a weak update
+    # heading east at 3 m/s, then a long silent interval; run applies the
+    # pending 2-s prediction at the end of the stream
     eng.step(Observation(1.0, Odometry(3.0, 0.0)))
-    eng._predict(2.0)
+    eng.run([Observation(3.0, Odometry(3.0, 0.0))])
     drifted = int(np.argmax(eng.field.mass))
     pos = eng.field.spec.positions()[drifted]
     assert pos[0] - before[0] > 4.0  # moved roughly 6 m east

@@ -29,6 +29,10 @@ def test_init_uniform_normalized():
     dict(origin=(0, 0, 0), cell_size=1.0, extent=(5, 5)),
     dict(origin=(0,), cell_size=1.0, extent=(5,)),
     dict(origin=(0, 0, 0), cell_size=1.0, extent=(4, 4, 4)),
+    dict(origin=(0, 0), cell_size=float("nan"), extent=(5, 5)),
+    dict(origin=(0, 0), cell_size=float("inf"), extent=(5, 5)),
+    dict(origin=(0, 0), cell_size=1.0, extent=(5, 5), plane_height=float("nan")),
+    dict(origin=(0, 0), cell_size=1.0, extent=(5, 5), plane_height=float("inf")),
 ])
 def test_invalid_specs(kwargs):
     with pytest.raises(ValueError):

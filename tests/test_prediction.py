@@ -112,8 +112,8 @@ def test_prediction_spreads_mass():
 
 
 def test_kernel_truncation_radius_scales_with_motion():
-    slow = WS.radius_cells(MotionInput(1.0, 0.0, sigma_speed=0.1, dt=1.0))
-    fast = WS.radius_cells(MotionInput(8.0, 0.0, sigma_speed=0.1, dt=1.0))
+    slow = WS.radius_cells(WS.reach(MotionInput(1.0, 0.0, sigma_speed=0.1, dt=1.0)))
+    fast = WS.radius_cells(WS.reach(MotionInput(8.0, 0.0, sigma_speed=0.1, dt=1.0)))
     assert fast > slow
     assert fast <= max(SPEC.extent) - 1
 
@@ -143,7 +143,7 @@ def test_chapman_kolmogorov_matches_dense_oracle():
     sigma_v = motion.sigma_speed * motion.dt
     pred = np.zeros(spec.num_cells)
     pos = spec.positions()
-    r = ws.radius_cells(motion)
+    r = ws.radius_cells(ws.reach(motion))
     for i in range(spec.num_cells):
         for j in range(spec.num_cells):
             delta = pos[i] - pos[j]
@@ -168,7 +168,36 @@ def test_chapman_kolmogorov_matches_dense_oracle():
     pred /= pred.sum()
 
     out = predict(field, motion, ws)
-    assert np.allclose(out.mass, pred, atol=1e-9)
+    assert np.allclose(out.mass, pred, rtol=0.0, atol=1e-12)
+
+
+def test_composed_prediction_matches_sequential():
+    """One convolution with the composed, cropped kernel equals predicting
+    step by step, on a blob that stays inside the grid: the crop to the
+    summed reach drops nothing measurable."""
+    spec = GridSpec((0.0, 0.0), 0.2, (120, 120))
+    ws = TransitionWorkspace(spec)
+    x, y = spec.axes()
+    blob = np.exp(-0.5 * np.add.outer((x - 11.0) ** 2, (y - 12.5) ** 2) / 0.6 ** 2)
+    field = LikelihoodField(spec, blob.ravel())
+    # Mostly one heading, so the composed mass travels far from the centre
+    # and a crop much tighter than the summed reach would cut into it.
+    motions = [MotionInput(2.0, 0.3, dt=0.2),
+               MotionInput(None, None, sigma_rw=1.0, dt=0.1),
+               MotionInput(3.0, 0.5, sigma_speed=0.3, sigma_heading=0.4, dt=0.4),
+               MotionInput(2.5, None, dt=0.15)]
+    sequential, pending = field, None
+    for motion in motions:
+        sequential = predict(sequential, motion, ws)
+        pending = ws.compose(pending, motion)
+    composed = predict(field, pending, ws)
+
+    radius = (pending.kernel.shape[0] - 1) // 2
+    assert pending.reach == pytest.approx(sum(ws.reach(m) for m in motions))
+    assert radius == ws.radius_cells(pending.reach)
+    assert radius < sum(ws.radius_cells(ws.reach(m)) for m in motions)
+    peak = sequential.mass.max()
+    assert np.max(np.abs(composed.mass - sequential.mass)) <= 1e-12 * peak
 
 
 def test_dropped_workspace_is_collected():

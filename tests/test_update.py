@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfuse.geometry import ReferencePoint
+from gridfuse.geometry import ReferencePoint, wrap_angle
 from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
 from gridfuse.noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Range,
@@ -147,6 +147,33 @@ def test_aoa_oracle_equivalence():
     expected = np.asarray(like) / sum(like) * 0.01
     expected /= expected.sum()
     assert np.allclose(post.mass, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("anchor_y", [0.5, -0.0])
+def test_aoa_likelihood_matches_two_wrap_arithmetic(anchor_y):
+    """Wrapping the innovation once gives, per cell, the likelihood of the
+    former arithmetic, which wrapped the bearings and then the finite
+    innovations again. The anchor sits over a cell; at y = -0.0, arctan2 gives
+    -pi on the cells east of it."""
+    from gridfuse.update import likelihood_aoa
+    spec = GridSpec((-3.0, -2.0), 0.5, (13, 11))
+    anchor = ReferencePoint("a", (0.0, anchor_y, 2.0))
+    model = GaussianModel(0.0, 0.1)
+    x, y = spec.axes()
+    dx, dy = anchor.position[0] - x, anchor.position[1] - y
+    bearing = wrap_angle(np.arctan2(dy[None, :], dx[:, None])).ravel()
+    under = np.logical_and.outer(dx == 0.0, dy == 0.0).ravel()
+    assert under.sum() == 1
+    bearing[under] = np.nan
+    for z in np.linspace(-math.pi, math.pi, 13):
+        resid = z - bearing
+        valid = np.isfinite(resid)
+        resid = np.where(valid, wrap_angle(np.where(valid, resid, 0.0)), resid)
+        expected = np.empty_like(resid)
+        expected[valid] = model.pdf(resid[valid])
+        expected[~valid] = expected[valid].mean()
+        got = likelihood_aoa(spec, Angle("a", float(z)), anchor, model)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def _sat(sid, pos, rho, vis=LOS):
