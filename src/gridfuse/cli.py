@@ -6,6 +6,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
@@ -76,7 +77,6 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     scenario = fileio.scenario_from_json(fileio.load_json(args.config))
     if args.seed is not None:
-        from dataclasses import replace
         scenario = replace(scenario, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -174,13 +174,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (fileio.DataFormatError, CalibrationFailureError) as exc:
-        print(f"gridfuse: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"gridfuse: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError) as exc:
+    except (fileio.DataFormatError, CalibrationFailureError, FileNotFoundError,
+            IsADirectoryError, PermissionError, ValueError, KeyError) as exc:
         print(f"gridfuse: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .estimation import Estimate, estimate
+from .estimation import Estimate, check_radius, estimate
 from .geometry import ReferencePoint, coincident
 from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform, recenter
 from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
                            RangeDifference)
 from .prediction import MotionInput, Transition, TransitionWorkspace, predict
-from .update import (SUM, BssdRouting, update_aoa, update_gnss_bssd, update_range,
-                     update_tdoa)
+from .update import (PRODUCT, SUM, BssdRouting, update_aoa, update_gnss_bssd,
+                     update_range, update_tdoa)
 
 log = logging.getLogger(__name__)
 
@@ -37,13 +38,6 @@ DEFAULT_UWB_MODEL = MixtureLikelihoodModel(
 # The grid recenters once the MAP cell comes within this fraction of the
 # grid extent (at least one cell) of its border.
 RECENTER_MARGIN = 0.1
-
-
-@dataclass(frozen=True)
-class AdmitResult:
-    accepted: bool
-    reason: str | None = None
-    reinit_recommended: bool = False
 
 
 @dataclass
@@ -71,20 +65,36 @@ def _tie_key(obs: Observation):
     return (obs.timestamp, _TIE_PRIORITY[type(obs.payload)])
 
 
+def _check_config(cfg: FilterConfig, radius: float, cell_size: float) -> None:
+    """Reject a configuration the filter cannot run with, before any event."""
+    if cfg.combine_mode not in (SUM, PRODUCT):
+        raise ValueError(f"unknown combination mode {cfg.combine_mode!r}")
+    for name in ("sigma_speed", "sigma_heading", "sigma_rw"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not cfg.max_gap > 0:
+        raise ValueError(f"max_gap must be > 0, got {cfg.max_gap}")
+    check_radius(radius, cell_size)
+
+
 class FusionEngine:
     """Sequential consumer of a mixed GNSS / terrestrial / odometry event stream."""
 
-    def __init__(self, spec: GridSpec, anchors: dict[str, ReferencePoint] | list,
+    def __init__(self, spec: GridSpec, anchors: Iterable[ReferencePoint],
                  config: FilterConfig | None = None):
         self.config = config or FilterConfig()
-        if isinstance(anchors, dict):
-            self.anchors = dict(anchors)
-        else:
-            self.anchors = {a.id: a for a in anchors}
+        self.anchors: dict[str, ReferencePoint] = {}
+        for a in anchors:
+            if a.id in self.anchors:
+                raise ValueError(f"repeated anchor id {a.id!r}")
+            self.anchors[a.id] = a
         self.field: LikelihoodField = init_uniform(spec)
+        _check_config(self.config, self.estimate_radius, spec.cell_size)
         self.workspace = TransitionWorkspace(spec)
         self.last_timestamp: float | None = None
-        self.motion: MotionInput | None = None
+        # The last admitted odometry, held until the next one.
+        self.motion: Odometry | None = None
         # Prediction steps since the last update, composed into one kernel.
         self.pending: Transition | None = None
         self.estimates: list[Estimate] = []
@@ -96,14 +106,15 @@ class FusionEngine:
         r = self.config.estimate_radius
         return 5.0 * self.field.spec.cell_size if r is None else r
 
-    def admit(self, obs: Observation) -> AdmitResult:
-        """Entry check; a rejected event leaves no trace. Reasons: OutOfSequence,
-        NonFinite (any payload value, satellite positions included),
-        UnknownAnchor (an id not among the anchors), CoincidentReferences (a
-        TDoA whose two references are one id or one position), DuplicateSatellite
-        (a GNSS epoch in which two satellites share an id) and NegativeSpeed."""
+    def admit(self, obs: Observation) -> str | None:
+        """Entry check: the reason ``obs`` is rejected, or None. Reasons:
+        OutOfSequence, NonFinite (any payload value, satellite positions
+        included), UnknownAnchor (an id not among the anchors),
+        CoincidentReferences (a TDoA whose two references are one id or one
+        position), DuplicateSatellite (a GNSS epoch in which two satellites
+        share an id) and NegativeSpeed."""
         if self.last_timestamp is not None and obs.timestamp < self.last_timestamp:
-            return AdmitResult(False, "OutOfSequence")
+            return "OutOfSequence"
         p = obs.payload
         if isinstance(p, GnssPseudoranges):
             values = [v for s in p.satellites for v in (s.pseudorange, *s.position)]
@@ -115,28 +126,24 @@ class FusionEngine:
         else:
             values, refs = [p.value], [p.anchor_id]
         if not all(map(math.isfinite, values)):
-            return AdmitResult(False, "NonFinite")
+            return "NonFinite"
         if not all(r in self.anchors for r in refs):
-            return AdmitResult(False, "UnknownAnchor")
+            return "UnknownAnchor"
         if isinstance(p, RangeDifference) and coincident(*(self.anchors[r] for r in refs)):
-            return AdmitResult(False, "CoincidentReferences")
+            return "CoincidentReferences"
         if isinstance(p, GnssPseudoranges) and (
                 len({s.sat_id for s in p.satellites}) < len(p.satellites)):
-            return AdmitResult(False, "DuplicateSatellite")
+            return "DuplicateSatellite"
         if isinstance(p, Odometry) and p.speed < 0:
-            return AdmitResult(False, "NegativeSpeed")
-        if (self.last_timestamp is not None
-                and obs.timestamp - self.last_timestamp > self.config.max_gap):
-            return AdmitResult(True, reinit_recommended=True)
-        return AdmitResult(True)
+            return "NegativeSpeed"
+        return None
 
     def _step_motion(self, dt: float) -> MotionInput:
         """The zero-order-held odometry over ``dt``, or a random walk before
         any odometry arrived."""
-        if self.motion is not None:
-            return self.motion.with_dt(dt)
-        cfg = self.config
-        return MotionInput(None, None, cfg.sigma_speed, cfg.sigma_heading, dt,
+        m, cfg = self.motion, self.config
+        speed, heading = (None, None) if m is None else (m.speed, m.heading)
+        return MotionInput(speed, heading, cfg.sigma_speed, cfg.sigma_heading, dt,
                            cfg.sigma_rw)
 
     def _apply_pending(self) -> None:
@@ -195,22 +202,29 @@ class FusionEngine:
             self.reinit_count += 1
 
     def step(self, obs: Observation) -> Estimate | None:
-        """Process one admitted event; returns an estimate for positioning
-        events. Every step with dt > 0 composes its motion into the pending
-        kernel, which a positioning event applies before its update; after an
-        odometry event the field lags until the next fix (or the end of
-        ``run``). A step that reinitialised the field does not recenter on it."""
+        """Admit and process one event; returns an estimate for positioning
+        events. A rejected event is recorded in ``rejected`` with its reason
+        and changes nothing else. Every step with dt > 0 composes its motion
+        into the pending kernel, which a positioning event applies before its
+        update; after an odometry event the field lags until the next fix (or
+        the end of ``run``). A step that reinitialised the field does not
+        recenter on it."""
+        reason = self.admit(obs)
+        if reason is not None:
+            self.rejected.append((obs, reason))
+            log.warning("rejected event at t=%.3f: %s", obs.timestamp, reason)
+            return None
         reinits = self.reinit_count
         dt = 0.0 if self.last_timestamp is None else obs.timestamp - self.last_timestamp
+        if dt > self.config.max_gap:
+            log.warning("gap > %.1f s before t=%.3f; reinitialization recommended",
+                        self.config.max_gap, obs.timestamp)
         self.last_timestamp = obs.timestamp
         if dt > 0.0:
             self.pending = self.workspace.compose(self.pending, self._step_motion(dt))
 
         if isinstance(obs.payload, Odometry):
-            cfg = self.config
-            self.motion = MotionInput(obs.payload.speed, obs.payload.heading,
-                                      cfg.sigma_speed, cfg.sigma_heading,
-                                      1.0, cfg.sigma_rw)
+            self.motion = obs.payload
             return None
 
         self._apply_pending()
@@ -222,19 +236,10 @@ class FusionEngine:
         return est
 
     def run(self, events: list[Observation]) -> list[Estimate]:
-        """Sort, admit and process a whole event stream; returns the estimates.
-        Any pending prediction is applied at the end, so ``field`` is the
-        posterior at ``last_timestamp``."""
+        """Step through a whole event stream in time order; returns the
+        estimates. Any pending prediction is applied at the end, so ``field``
+        is the posterior at ``last_timestamp``."""
         for obs in sorted(events, key=_tie_key):
-            result = self.admit(obs)
-            if not result.accepted:
-                self.rejected.append((obs, result.reason))
-                log.warning("rejected event at t=%.3f: %s", obs.timestamp,
-                            result.reason)
-                continue
-            if result.reinit_recommended:
-                log.warning("gap > %.1f s before t=%.3f; reinitialization recommended",
-                            self.config.max_gap, obs.timestamp)
             self.step(obs)
         self._apply_pending()
         return list(self.estimates)

@@ -20,6 +20,12 @@ class Estimate:
     support_count: int
 
 
+def check_radius(radius: float, cell_size: float) -> None:
+    """A weighted-mean radius is inf or at least one cell (NaN is neither)."""
+    if not (radius == math.inf or radius >= cell_size):
+        raise ValueError("radius must be >= cell_size (or inf)")
+
+
 def map_estimate(field: LikelihoodField) -> int:
     """Argmax cell; ties resolved to the lowest linear index."""
     return int(np.argmax(field.mass))
@@ -34,8 +40,7 @@ def _weighted_mean_and_support(field: LikelihoodField, center: int,
     is tested, and its cells are taken in C order, as a full-grid mask would.
     """
     spec = field.spec
-    if not math.isinf(radius) and radius < spec.cell_size:
-        raise ValueError("radius must be >= cell_size (or inf)")
+    check_radius(radius, spec.cell_size)
     half = max(spec.extent) if math.isinf(radius) else int(radius // spec.cell_size) + 1
     ci, cj = spec.index_to_coords(center)
     window = (slice(max(ci - half, 0), ci + half + 1),

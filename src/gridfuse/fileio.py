@@ -161,7 +161,6 @@ def grid_from_json(doc: dict) -> GridSpec:
         raise DataFormatError(f"bad grid document: {exc}") from exc
 
 
-# Anchors are written without their ``kind``; every one read back is an anchor.
 def _anchor_to_json(a: ReferencePoint) -> dict:
     return {"id": a.id, "position": list(a.position)}
 

@@ -21,7 +21,6 @@ class ReferencePoint:
 
     id: str
     position: tuple[float, float, float]
-    kind: str = "anchor"  # "anchor" | "satellite"
 
     def __post_init__(self):
         pos = tuple(float(v) for v in self.position)
@@ -31,8 +30,6 @@ class ReferencePoint:
             raise ValueError("reference position must be 2D or 3D")
         if not all(np.isfinite(pos)):
             raise ValueError(f"reference {self.id} has non-finite coordinates")
-        if self.kind not in ("anchor", "satellite"):
-            raise ValueError(f"unknown reference kind {self.kind!r}")
         object.__setattr__(self, "position", pos)
 
     @property

@@ -13,7 +13,7 @@ which bounds its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,9 +49,6 @@ class MotionInput:
             raise ValueError("motion uncertainties must be > 0")
         if self.speed is not None and self.speed < 0:
             raise ValueError("speed must be >= 0")
-
-    def with_dt(self, dt: float) -> "MotionInput":
-        return replace(self, dt=dt)
 
 
 @lru_cache(maxsize=64)

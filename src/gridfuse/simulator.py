@@ -157,8 +157,7 @@ def anchor_ring(center_xy=(0.0, 0.0), n: int = 11, radius: float = 15.0,
             f"A{k + 1:02d}",
             (center_xy[0] + radius * math.cos(az),
              center_xy[1] + radius * math.sin(az),
-             height + 0.5 * (k % 3)),
-            kind="anchor"))
+             height + 0.5 * (k % 3))))
     return tuple(anchors)
 
 

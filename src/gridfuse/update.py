@@ -78,7 +78,7 @@ def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
     sats = obs.satellites
     dists = {}
     for s in sats:
-        ref = ReferencePoint(s.sat_id, s.position, kind="satellite")
+        ref = ReferencePoint(s.sat_id, s.position)
         dists[s.sat_id] = gamma_distance(ref, grid)
     arrays = []
     for a in sats:
@@ -128,8 +128,6 @@ def combine(prior: LikelihoodField, likelihoods: list[np.ndarray],
 
 def update_range(prior: LikelihoodField, obs: Range, anchor: ReferencePoint,
                  model, mode: str = SUM) -> LikelihoodField:
-    if anchor.id != obs.anchor_id:
-        raise KeyError(f"anchor {obs.anchor_id!r} does not match {anchor.id!r}")
     return combine(prior, [likelihood_range(prior.spec, obs, anchor, model)], mode)
 
 
@@ -141,19 +139,14 @@ def update_tdoa(prior: LikelihoodField, obs: RangeDifference,
 
 def update_aoa(prior: LikelihoodField, obs: Angle, anchor: ReferencePoint,
                model, mode: str = SUM) -> LikelihoodField:
-    if anchor.id != obs.anchor_id:
-        raise KeyError(f"anchor {obs.anchor_id!r} does not match {anchor.id!r}")
     return combine(prior, [likelihood_aoa(prior.spec, obs, anchor, model)], mode)
 
 
 def update_gnss_bssd(prior: LikelihoodField, obs: GnssPseudoranges,
                      routing: BssdRouting, mode: str = SUM) -> LikelihoodField:
-    if len(obs.satellites) < 2:
-        log.warning("GNSS epoch with %d satellite(s): no BSSD update possible",
-                    len(obs.satellites))
-        return prior
     arrays = bssd_pair_likelihoods(prior.spec, obs, routing)
     if not arrays:
-        log.warning("all BSSD pairs dropped (both-NLOS); prior unchanged")
+        log.warning("GNSS epoch with %d satellite(s): no usable BSSD pair; "
+                    "prior unchanged", len(obs.satellites))
         return prior
     return combine(prior, arrays, mode)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridfuse.engine import AdmitResult, FilterConfig, FusionEngine
+from gridfuse.engine import FilterConfig, FusionEngine, _tie_key
 from gridfuse.geometry import ReferencePoint
 from gridfuse.grid import GridSpec, init_uniform
 from gridfuse.noise import GaussianModel
@@ -42,17 +42,55 @@ def gnss_obs(t):
 def test_out_of_sequence_rejected():
     eng = FusionEngine(SPEC, ANCHORS)
     eng.step(range_obs(5.0, ANCHORS[0]))
-    res = eng.admit(range_obs(4.0, ANCHORS[1]))
-    assert res == AdmitResult(False, "OutOfSequence")
-    assert eng.admit(range_obs(5.0, ANCHORS[1])).accepted  # equal time is fine
+    late = range_obs(4.0, ANCHORS[1])
+    assert eng.admit(late) == "OutOfSequence"
+    assert eng.admit(range_obs(5.0, ANCHORS[1])) is None  # equal time is fine
+    assert eng.step(late) is None
+    assert eng.rejected == [(late, "OutOfSequence")]
+    assert eng.last_timestamp == 5.0 and len(eng.estimates) == 1
 
 
-def test_gap_flags_reinit_recommended():
+def test_gap_flags_reinit_recommended(caplog):
     eng = FusionEngine(SPEC, ANCHORS, FilterConfig(max_gap=10.0))
     eng.step(range_obs(0.0, ANCHORS[0]))
-    res = eng.admit(range_obs(10.5, ANCHORS[1]))
-    assert res.accepted and res.reinit_recommended
-    assert not eng.admit(range_obs(5.0, ANCHORS[1])).reinit_recommended
+    eng.step(range_obs(5.0, ANCHORS[1]))
+    assert "reinitialization recommended" not in caplog.text
+    eng.step(range_obs(15.5, ANCHORS[2]))
+    assert "gap > 10.0 s before t=15.500; reinitialization recommended" in caplog.text
+    assert not eng.rejected and len(eng.estimates) == 3
+
+
+def test_repeated_anchor_id_raises():
+    moved = ReferencePoint("A1", (5.0, 5.0, 2.0))
+    with pytest.raises(ValueError, match="'A1'"):
+        FusionEngine(SPEC, [*ANCHORS, moved])
+
+
+# Configurations the filter cannot run with, each rejected at construction.
+BAD_CONFIGS = {
+    "combine_mode": dict(combine_mode="prod"),
+    "sigma_speed_nan": dict(sigma_speed=math.nan),
+    "sigma_speed_zero": dict(sigma_speed=0.0),
+    "sigma_heading_inf": dict(sigma_heading=math.inf),
+    "sigma_heading_negative": dict(sigma_heading=-0.2),
+    "sigma_rw_nan": dict(sigma_rw=math.nan),
+    "max_gap_nan": dict(max_gap=math.nan),
+    "max_gap_zero": dict(max_gap=0.0),
+    "radius_nan": dict(estimate_radius=math.nan),
+    "radius_below_cell": dict(estimate_radius=0.5 * SPEC.cell_size),
+    "radius_negative_inf": dict(estimate_radius=-math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_invalid_config_raises_at_construction(name):
+    with pytest.raises(ValueError):
+        FusionEngine(SPEC, ANCHORS, FilterConfig(**BAD_CONFIGS[name]))
+
+
+@pytest.mark.parametrize("radius", [None, math.inf, SPEC.cell_size])
+def test_valid_estimate_radius_accepted(radius):
+    FusionEngine(SPEC, ANCHORS, FilterConfig(estimate_radius=radius))
 
 
 def test_run_logs_rejections_for_unsorted_duplicates(caplog):
@@ -99,7 +137,6 @@ def test_same_timestamp_batch_matches_joint_product_update():
 
 
 def test_tie_break_order_gnss_before_terrestrial_before_odometry():
-    from gridfuse.engine import _tie_key
     events = [Observation(1.0, Odometry(0.0, 0.0)),
               range_obs(1.0, ANCHORS[0]),
               gnss_obs(1.0)]
@@ -182,7 +219,7 @@ def test_run_rejects_invalid_event_with_reason(kind):
     make, reason = BAD_EVENTS[kind]
     bad = make(1.0)
     eng = FusionEngine(SPEC, ANCHORS)
-    assert eng.admit(bad) == AdmitResult(False, reason)
+    assert eng.admit(bad) == reason
     ests = eng.run([range_obs(0.5, ANCHORS[0]), bad, range_obs(1.5, ANCHORS[1])])
     assert len(ests) == 2 and len(eng.rejected) == 1
     assert eng.rejected[0][0] is bad and eng.rejected[0][1] == reason
@@ -199,17 +236,25 @@ def clean_run():
 @given(st.lists(st.tuples(st.sampled_from(sorted(BAD_EVENTS)),
                           st.floats(min_value=0.0, max_value=4.0)),
                 min_size=1, max_size=8),
-       st.randoms(use_true_random=False))
-def test_invalid_events_leave_no_trace(clean_run, inserts, rnd):
+       st.randoms(use_true_random=False),
+       st.booleans())
+def test_invalid_events_leave_no_trace(clean_run, inserts, rnd, by_step):
     """Invalid events anywhere in a valid stream are rejected with their
-    reason, and the estimates stay bit-identical to the clean stream's."""
+    reason, and the estimates and final posterior stay bit-identical to the
+    clean stream's, whether ``run`` takes the stream or it is stepped in
+    ``run``'s order and closed by ``run([])``."""
     clean, clean_estimates, clean_mass = clean_run
     bad = [(BAD_EVENTS[kind][0](t), BAD_EVENTS[kind][1]) for kind, t in inserts]
     events = list(clean)
     for obs, _ in bad:
         events.insert(rnd.randrange(len(events) + 1), obs)
     eng = FusionEngine(SPEC, ANCHORS)
-    ests = eng.run(events)
+    if by_step:
+        for obs in sorted(events, key=_tie_key):
+            eng.step(obs)
+        ests = eng.run([])
+    else:
+        ests = eng.run(events)
     assert {id(o): r for o, r in eng.rejected} == {id(o): r for o, r in bad}
     assert ests == clean_estimates
     assert np.array_equal(eng.field.mass, clean_mass)
@@ -267,10 +312,12 @@ def test_run_ending_in_odometry_predicts_to_last_timestamp():
     assert np.max(np.abs(eng.field.mass - expected)) <= 1e-12 * expected.max()
 
 
-def test_unknown_anchor_raises():
+def test_step_rejects_unknown_anchor():
     eng = FusionEngine(SPEC, ANCHORS)
-    with pytest.raises(KeyError):
-        eng.step(Observation(0.0, Range("A99", 3.0)))
+    unknown = Observation(0.0, Range("A99", 3.0))
+    assert eng.step(unknown) is None
+    assert eng.rejected == [(unknown, "UnknownAnchor")]
+    assert eng.last_timestamp is None and not eng.estimates
 
 
 def test_likelihood_collapse_reinitializes():

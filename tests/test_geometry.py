@@ -147,5 +147,3 @@ def test_wrap_angle_range(x):
 def test_reference_point_validation():
     with pytest.raises(ValueError):
         ReferencePoint("bad", (float("nan"), 0.0, 0.0))
-    with pytest.raises(ValueError):
-        ReferencePoint("bad", (0.0, 0.0, 0.0), kind="tower")
