@@ -2,7 +2,11 @@
 
 Every density model is a frozen dataclass with two methods:
 
-- ``pdf(y)`` evaluates the density at a scalar or array ``y``;
+- ``pdf(y, out=None)`` evaluates the density at a scalar or array ``y`` and
+  returns an array of ``y``'s shape (0-d for a scalar). With ``out`` given,
+  the result is written into that float array, which may be ``y`` itself, and
+  ``out`` is returned; the values are bit-identical to the allocating call,
+  which runs the same operations in the same order on a new array;
 - ``sample(rng, size=None)`` draws from it with the given generator and
   returns a float when ``size`` is None, else an array of that shape.
 
@@ -22,9 +26,22 @@ class CalibrationFailureError(RuntimeError):
     """Raised when EM cannot produce a non-degenerate mixture fit."""
 
 
-def _gauss_pdf(y, mean, var):
+def _operands(y, out):
+    """``y`` as a float array, and ``out`` or, when None, a new array like it."""
     y = np.asarray(y, dtype=float)
-    return np.exp(-0.5 * (y - mean) ** 2 / var) / (_SQRT_2PI * np.sqrt(var))
+    return y, (np.empty_like(y) if out is None else out)
+
+
+def _gauss_pdf(y, mean, var, out=None):
+    """exp(-0.5 * (y - mean)**2 / var) / (sqrt(2 pi) * sqrt(var)), one
+    operation at a time in ``out``."""
+    y, out = _operands(y, out)
+    np.subtract(y, mean, out=out)
+    np.square(out, out=out)
+    np.multiply(-0.5, out, out=out)
+    np.divide(out, var, out=out)
+    np.exp(out, out=out)
+    return np.divide(out, _SQRT_2PI * np.sqrt(var), out=out)
 
 
 @dataclass(frozen=True)
@@ -36,8 +53,8 @@ class GaussianModel:
         if not self.std > 0:
             raise ValueError(f"std must be > 0, got {self.std}")
 
-    def pdf(self, y):
-        return _gauss_pdf(y, self.mean, self.std ** 2)
+    def pdf(self, y, out=None):
+        return _gauss_pdf(y, self.mean, self.std ** 2, out)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mean, self.std, size=size)
@@ -54,10 +71,12 @@ class UniformModel:
         if not self.high > self.low:
             raise ValueError("require high > low")
 
-    def pdf(self, y):
-        y = np.asarray(y, dtype=float)
+    def pdf(self, y, out=None):
+        y, out = _operands(y, out)
         inside = (y >= self.low) & (y <= self.high)
-        return np.where(inside, 1.0 / (self.high - self.low), 0.0)
+        out.fill(0.0)
+        np.copyto(out, 1.0 / (self.high - self.low), where=inside)
+        return out
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.low, self.high, size=size)
@@ -102,11 +121,15 @@ class GmmModel:
     def component(self, c: int) -> GaussianModel:
         return GaussianModel(self.means[c], float(np.sqrt(self.variances[c])))
 
-    def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
+    def pdf(self, y, out=None):
+        y, out = _operands(y, out)
+        if np.may_share_memory(y, out):
+            y = y.copy()
+        term = np.empty_like(y)
+        out.fill(0.0)
         for w, m, v in zip(self.weights, self.means, self.variances):
-            out += w * _gauss_pdf(y, m, v)
+            _gauss_pdf(y, m, v, term)
+            out += np.multiply(w, term, out=term)
         return out
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -134,9 +157,14 @@ class MixtureLikelihoodModel:
             if not (hasattr(part, "pdf") and hasattr(part, "sample")):
                 raise TypeError(f"mixture parts must be density models, got {part!r}")
 
-    def pdf(self, y):
+    def pdf(self, y, out=None):
         phi = self.ratio
-        return phi * self.primary.pdf(y) + (1.0 - phi) * self.secondary.pdf(y)
+        first = self.primary.pdf(y)
+        np.multiply(phi, first, out=first)
+        # ``y`` is read for the last time here, so ``out`` may alias it.
+        second = self.secondary.pdf(y, out)
+        np.multiply(1.0 - phi, second, out=second)
+        return np.add(first, second, out=second)
 
     def sample(self, rng: np.random.Generator, size=None):
         n = 1 if size is None else int(np.prod(size))
@@ -152,9 +180,10 @@ class MixtureLikelihoodModel:
         return out.reshape(size)
 
 
-def density(model, y):
-    """Evaluate the pdf of ``model`` at ``y`` (scalar or array)."""
-    return model.pdf(y)
+def density(model, y, out=None):
+    """Evaluate the pdf of ``model`` at ``y`` (scalar or array), into ``out``
+    when given (``out`` may be ``y``)."""
+    return model.pdf(y, out)
 
 
 def sample(model, rng: np.random.Generator, size=None):

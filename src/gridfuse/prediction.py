@@ -13,6 +13,7 @@ which bounds its support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,12 +44,17 @@ class MotionInput:
     sigma_rw: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.sigma_speed <= 0 or self.sigma_heading <= 0 or self.sigma_rw <= 0:
-            raise ValueError("motion uncertainties must be > 0")
-        if self.speed is not None and self.speed < 0:
-            raise ValueError("speed must be >= 0")
+        # Negated range tests, so that NaN (which fails every comparison) is
+        # rejected too.
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        sigmas = (self.sigma_speed, self.sigma_heading, self.sigma_rw)
+        if not all(0 < s < math.inf for s in sigmas):
+            raise ValueError(f"motion uncertainties must be finite and > 0, got {sigmas}")
+        if self.speed is not None and not 0 <= self.speed < math.inf:
+            raise ValueError(f"speed must be finite and >= 0, got {self.speed}")
+        if self.heading is not None and not math.isfinite(self.heading):
+            raise ValueError(f"heading must be finite, got {self.heading}")
 
 
 @lru_cache(maxsize=64)

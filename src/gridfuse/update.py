@@ -50,12 +50,14 @@ class BssdRouting:
 
 def likelihood_range(grid: GridSpec, obs: Range, anchor: ReferencePoint,
                      model) -> np.ndarray:
-    return density(model, innovations(obs.value, gamma_distance(anchor, grid)))
+    y = innovations(obs.value, gamma_distance(anchor, grid))
+    return density(model, y, y)
 
 
 def likelihood_tdoa(grid: GridSpec, obs: RangeDifference, ref_a: ReferencePoint,
                     ref_b: ReferencePoint, model) -> np.ndarray:
-    return density(model, innovations(obs.value, gamma_hyperbolic(ref_a, ref_b, grid)))
+    y = innovations(obs.value, gamma_hyperbolic(ref_a, ref_b, grid))
+    return density(model, y, y)
 
 
 def likelihood_aoa(grid: GridSpec, obs: Angle, anchor: ReferencePoint,
@@ -65,22 +67,30 @@ def likelihood_aoa(grid: GridSpec, obs: Angle, anchor: ReferencePoint,
     y = innovations(obs.value, gamma_angle(anchor, grid), wrap=True)
     defined = np.isfinite(y)
     if np.all(defined):
-        return density(model, y)
-    like = np.empty_like(y)
-    like[defined] = density(model, y[defined])
-    like[~defined] = like[defined].mean()
-    return like
+        return density(model, y, y)
+    inner = y[defined]
+    y[defined] = density(model, inner, inner)
+    y[~defined] = y[defined].mean()
+    return y
 
 
 def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
-                          routing: BssdRouting) -> list[np.ndarray]:
-    """Full-set differencing: one likelihood array per usable ordered pair."""
+                          routing: BssdRouting, acc: np.ndarray,
+                          fold: np.ufunc) -> list[tuple[str, str]]:
+    """Full-set differencing: fold the likelihood of every usable ordered pair
+    into ``acc`` in pair order, as ``fold(acc, likelihood, out=acc)``.
+
+    Each satellite's distances are computed once, and every pair is sampled
+    in one scratch buffer, so no per-pair array is kept. Returns the
+    (minuend, subtrahend) ids of the pairs used.
+    """
     sats = obs.satellites
     dists = {}
     for s in sats:
         ref = ReferencePoint(s.sat_id, s.position)
         dists[s.sat_id] = gamma_distance(ref, grid)
-    arrays = []
+    like = np.empty(grid.num_cells)
+    used = []
     for a in sats:
         for b in sats:
             if a.sat_id == b.sat_id:
@@ -88,10 +98,38 @@ def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
             model = routing.select(a.visibility, b.visibility)
             if model is None:
                 continue
-            delta_rho = a.pseudorange - b.pseudorange
-            y = delta_rho - (dists[a.sat_id] - dists[b.sat_id])
-            arrays.append(density(model, y))
-    return arrays
+            # y = delta_rho - (d_a - d_b), then its pdf, all in ``like``
+            np.subtract(dists[a.sat_id], dists[b.sat_id], out=like)
+            np.subtract(a.pseudorange - b.pseudorange, like, out=like)
+            fold(acc, density(model, like, like), out=acc)
+            used.append((a.sat_id, b.sat_id))
+    return used
+
+
+def _accumulator(prior: LikelihoodField, mode: str):
+    """The buffer and ufunc that fold likelihoods for ``mode``: zeros to add
+    them into (sum; 0.0 + x is x exactly, so the first array keeps its bits),
+    or a copy of the prior to multiply them into (product)."""
+    if mode == SUM:
+        return np.zeros(prior.mass.shape), np.add
+    if mode == PRODUCT:
+        return prior.mass.copy(), np.multiply
+    raise ValueError(f"unknown combination mode {mode!r}")
+
+
+def _posterior(prior: LikelihoodField, post: np.ndarray, mode: str) -> LikelihoodField:
+    """Finish a fold in place: in sum mode normalise the summed likelihood and
+    weigh it by the prior (product mode started from the prior), then floor."""
+    if mode == SUM:
+        s = post.sum()
+        if s <= 0 or not np.isfinite(s):
+            raise DegenerateFieldError("summed observation likelihood carries no mass")
+        post /= s
+        post *= prior.mass
+    s = post.sum()
+    if s <= 0 or not np.isfinite(s):
+        raise DegenerateFieldError("posterior mass collapsed during combine")
+    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR, out=post))
 
 
 def combine(prior: LikelihoodField, likelihoods: list[np.ndarray],
@@ -105,25 +143,10 @@ def combine(prior: LikelihoodField, likelihoods: list[np.ndarray],
     """
     if not likelihoods:
         return prior
-    if mode == SUM:
-        post = np.array(likelihoods[0], dtype=float)
-        for arr in likelihoods[1:]:
-            post += arr
-        s = post.sum()
-        if s <= 0 or not np.isfinite(s):
-            raise DegenerateFieldError("summed observation likelihood carries no mass")
-        post /= s
-        post *= prior.mass
-    elif mode == PRODUCT:
-        post = prior.mass * likelihoods[0]
-        for arr in likelihoods[1:]:
-            post *= arr
-    else:
-        raise ValueError(f"unknown combination mode {mode!r}")
-    s = post.sum()
-    if s <= 0 or not np.isfinite(s):
-        raise DegenerateFieldError("posterior mass collapsed during combine")
-    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR, out=post))
+    post, fold = _accumulator(prior, mode)
+    for arr in likelihoods:
+        fold(post, arr, out=post)
+    return _posterior(prior, post, mode)
 
 
 def update_range(prior: LikelihoodField, obs: Range, anchor: ReferencePoint,
@@ -144,9 +167,13 @@ def update_aoa(prior: LikelihoodField, obs: Angle, anchor: ReferencePoint,
 
 def update_gnss_bssd(prior: LikelihoodField, obs: GnssPseudoranges,
                      routing: BssdRouting, mode: str = SUM) -> LikelihoodField:
-    arrays = bssd_pair_likelihoods(prior.spec, obs, routing)
-    if not arrays:
+    post, fold = _accumulator(prior, mode)
+    used = bssd_pair_likelihoods(prior.spec, obs, routing, post, fold)
+    n = len(obs.satellites)
+    log.debug("GNSS epoch with %d satellite(s): %d BSSD pair(s) used, %d dropped",
+              n, len(used), n * (n - 1) - len(used))
+    if not used:
         log.warning("GNSS epoch with %d satellite(s): no usable BSSD pair; "
-                    "prior unchanged", len(obs.satellites))
+                    "prior unchanged", n)
         return prior
-    return combine(prior, arrays, mode)
+    return _posterior(prior, post, mode)

@@ -13,7 +13,7 @@ from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
 from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
-from gridfuse.update import bssd_pair_likelihoods, combine, update_range
+from gridfuse.update import combine, update_range
 
 SPEC = GridSpec((-10.0, -10.0), 1.0, (21, 21))
 ANCHORS = [

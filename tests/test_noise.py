@@ -61,6 +61,71 @@ def test_density_nonnegative_and_symmetric():
     assert np.allclose(density(g, 1.7 + d), density(g, 1.7 - d), atol=1e-12)
 
 
+OUT_MODELS = {
+    "gaussian": GaussianModel(0.05, 0.31),
+    "uniform": UniformModel(-2.0, 5.0),
+    "gmm": PAPER_GMM,
+    "mixture": MixtureLikelihoodModel(0.9, GaussianModel(0.05, 0.31),
+                                      UniformModel(-30, 30)),
+    # nested parts: ``out`` aliases ``y`` through both mixture levels
+    "mixture_nested": MixtureLikelihoodModel(
+        0.3, PAPER_GMM, MixtureLikelihoodModel(0.5, UniformModel(-1.0, 1.0),
+                                               GaussianModel(2.0, 3.0))),
+}
+OUT_INPUTS = {
+    "scalar": 0.4,
+    "zero_d": np.array(-1.0),
+    "with_nan": np.array([-30.0, -2.0, -0.0, 0.05, np.nan, 1.0, 5.0, 40.0, np.inf]),
+    "grid": np.random.default_rng(3).normal(0.0, 15.0, (7, 9)),
+}
+
+
+@pytest.mark.parametrize("model", OUT_MODELS.values(), ids=OUT_MODELS.keys())
+@pytest.mark.parametrize("y", OUT_INPUTS.values(), ids=OUT_INPUTS.keys())
+def test_pdf_into_out_matches_allocating_call(model, y):
+    """pdf(y, out=buf) and pdf(y, out=y) give the allocating call's bits and
+    return ``out``; a separate ``out`` leaves ``y`` untouched."""
+    expected = model.pdf(y)
+    y_before = np.array(y, dtype=float)
+    buf = np.full(np.shape(y), -7.0)
+    assert model.pdf(y, out=buf) is buf
+    assert np.array_equal(buf, expected, equal_nan=True)
+    assert np.array_equal(np.asarray(y), y_before, equal_nan=True)
+    alias = y_before.copy()
+    assert density(model, alias, out=alias) is alias
+    assert np.array_equal(alias, expected, equal_nan=True)
+
+
+def _written_out_gauss(y, mean, var):
+    return np.exp(-0.5 * (y - mean) ** 2 / var) / (np.sqrt(2.0 * np.pi) * np.sqrt(var))
+
+
+def _written_out_pdf(model, y):
+    """Each model's density as one allocating numpy expression."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(model, GaussianModel):
+        return _written_out_gauss(y, model.mean, model.std ** 2)
+    if isinstance(model, UniformModel):
+        inside = (y >= model.low) & (y <= model.high)
+        return np.where(inside, 1.0 / (model.high - model.low), 0.0)
+    if isinstance(model, GmmModel):
+        out = np.zeros_like(y)
+        for w, m, v in zip(model.weights, model.means, model.variances):
+            out += w * _written_out_gauss(y, m, v)
+        return out
+    phi = model.ratio
+    return (phi * _written_out_pdf(model.primary, y)
+            + (1.0 - phi) * _written_out_pdf(model.secondary, y))
+
+
+@pytest.mark.parametrize("model", OUT_MODELS.values(), ids=OUT_MODELS.keys())
+@pytest.mark.parametrize("y", OUT_INPUTS.values(), ids=OUT_INPUTS.keys())
+def test_pdf_keeps_the_written_out_arithmetic(model, y):
+    """The in-place evaluation runs the allocating expression's operations in
+    its order, so every bit agrees with it."""
+    assert np.array_equal(model.pdf(y), _written_out_pdf(model, y), equal_nan=True)
+
+
 def test_sample_gaussian_moments():
     rng = np.random.default_rng(0)
     draws = sample(GaussianModel(0.05, 0.31), rng, size=10**6)

@@ -127,6 +127,24 @@ def test_motion_input_validation():
         MotionInput(1.0, 0.0, sigma_speed=0.0, dt=1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", math.nan, "dt"),
+    ("sigma_speed", math.nan, "uncertainties"),
+    ("sigma_heading", math.nan, "uncertainties"),
+    ("sigma_rw", math.nan, "uncertainties"),
+    ("speed", math.nan, "speed"),
+    ("heading", math.nan, "heading"),
+    ("dt", math.inf, "dt"),
+    ("sigma_rw", math.inf, "uncertainties"),
+    ("speed", math.inf, "speed"),
+    ("heading", -math.inf, "heading"),
+], ids=lambda v: repr(v) if isinstance(v, float) else v)
+def test_motion_input_rejects_non_finite(field, value, message):
+    kwargs = {"speed": 1.0, "heading": 0.0, field: value}
+    with pytest.raises(ValueError, match=message):
+        MotionInput(**kwargs)
+
+
 def test_workspace_requires_2d():
     with pytest.raises(ValueError):
         TransitionWorkspace(GridSpec((0, 0, 0), 1.0, (4, 4, 4)))

@@ -1,15 +1,18 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridfuse.geometry import ReferencePoint, wrap_angle
-from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
+from gridfuse.geometry import ReferencePoint, gamma_distance, wrap_angle
+from gridfuse.grid import (MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField,
+                           init_uniform)
 from gridfuse.noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Range,
                                    RangeDifference, SatelliteObservation)
-from gridfuse.update import (BssdRouting, combine, update_aoa, update_gnss_bssd,
-                             update_range, update_tdoa)
+from gridfuse.update import (PRODUCT, SUM, BssdRouting, bssd_pair_likelihoods, combine,
+                             update_aoa, update_gnss_bssd, update_range, update_tdoa)
 
 UWB_MODEL = MixtureLikelihoodModel(0.9, GaussianModel(0.05, 0.31),
                                    UniformModel(-30.0, 30.0))
@@ -305,19 +308,135 @@ def test_bssd_visibility_routing():
     assert post is prior
 
 
-def test_bssd_skips_nlos_pairs_in_mixed_epoch():
+def reference_combine(prior, arrays, mode):
+    """``combine`` written out: sum the arrays in list order, normalise and
+    weigh by the prior (sum), or multiply them into the prior (product)."""
+    if mode == SUM:
+        post = arrays[0].copy()
+        for arr in arrays[1:]:
+            post += arr
+        post /= post.sum()
+        post *= prior.mass
+    else:
+        post = prior.mass * arrays[0]
+        for arr in arrays[1:]:
+            post *= arr
+    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR))
+
+
+def reference_bssd_update(prior, obs, routing, mode=SUM):
+    """The BSSD update as one ``model.pdf`` array per usable ordered pair,
+    then the ``combine`` fold: the allocating form that ``update_gnss_bssd``
+    folds into one accumulator. Returns the posterior and the pair count."""
+    dist = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), prior.spec)
+            for s in obs.satellites}
+    arrays = []
+    for a in obs.satellites:
+        for b in obs.satellites:
+            model = routing.select(a.visibility, b.visibility)
+            if a.sat_id == b.sat_id or model is None:
+                continue
+            y = (a.pseudorange - b.pseudorange) - (dist[a.sat_id] - dist[b.sat_id])
+            arrays.append(model.pdf(y))
+    return reference_combine(prior, arrays, mode), len(arrays)
+
+
+@pytest.mark.parametrize("mode", [SUM, PRODUCT])
+def test_combine_matches_written_out_fold(mode):
+    rng = np.random.default_rng(6)
+    spec = GridSpec((0, 0), 1.0, (9, 7))
+    prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
+    arrays = [rng.random(spec.num_cells) * 10.0 ** -k for k in range(4)]
+    assert np.array_equal(combine(prior, arrays, mode).mass,
+                          reference_combine(prior, arrays, mode).mass)
+
+
+def _random_epoch(rng, spec, vis, nlos_bias=13.0):
+    truth = np.array([*spec.index_to_position(spec.num_cells // 3), spec.plane_height])
+    sats = []
+    for k, v in enumerate(vis):
+        az, el = rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1.4)
+        p = 2.6e7 * np.array([math.cos(el) * math.cos(az),
+                              math.cos(el) * math.sin(az), math.sin(el)])
+        rho = (float(np.linalg.norm(p - truth)) + rng.normal(0, 3.0)
+               + (nlos_bias if v == NLOS else 0.0))
+        sats.append(_sat(f"G{k}", tuple(p), rho, v))
+    return GnssPseudoranges(tuple(sats))
+
+
+def test_bssd_skips_nlos_pairs_in_mixed_epoch(caplog):
     spec = GridSpec((-5, -5), 1.0, (11, 11))
     truth = np.zeros(3)
     epoch_mixed = _noiseless_epoch(truth, SAT_POSITIONS[:3],
                                    vis=[LOS, NLOS, NLOS])
     routing = tight_routing(sigma=1.0)
-    post = update_gnss_bssd(init_uniform(spec), epoch_mixed, routing)
-    # recompute by hand without the (NLOS, NLOS) pairs: must match exactly
-    from gridfuse.update import bssd_pair_likelihoods
-    arrays = bssd_pair_likelihoods(spec, epoch_mixed, routing)
-    assert len(arrays) == 4  # pairs (0,1),(0,2),(1,0),(2,0); (1,2),(2,1) dropped
-    manual = combine(init_uniform(spec), arrays)
-    assert np.allclose(post.mass, manual.mass)
+    with caplog.at_level(logging.DEBUG, logger="gridfuse.update"):
+        post = update_gnss_bssd(init_uniform(spec), epoch_mixed, routing)
+    assert "4 BSSD pair(s) used, 2 dropped" in caplog.text
+    # pairs (1,2), (2,1) are both NLOS and dropped
+    used = bssd_pair_likelihoods(spec, epoch_mixed, routing, np.zeros(spec.num_cells),
+                                 np.add)
+    assert used == [("G0", "G1"), ("G0", "G2"), ("G1", "G0"), ("G2", "G0")]
+    manual, n_pairs = reference_bssd_update(init_uniform(spec), epoch_mixed, routing)
+    assert n_pairs == 4
+    assert np.array_equal(post.mass, manual.mass)
+
+
+@pytest.mark.parametrize("mode", [SUM, PRODUCT])
+@pytest.mark.parametrize("vis", [
+    [LOS, NLOS, LOS, NLOS, LOS, LOS],
+    [NLOS, LOS, LOS, NLOS, NLOS, LOS, LOS, LOS],
+    [LOS] * 8,
+], ids=["6_sats", "8_sats", "8_los"])
+def test_bssd_update_matches_per_pair_reference(vis, mode):
+    """Folding pairs into one accumulator gives the bits of per-pair arrays
+    fused by ``combine``, in both fusion rules."""
+    rng = np.random.default_rng(len(vis) + vis.count(NLOS))
+    spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (23, 19), plane_height=1.5)
+    prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
+    routing = BssdRouting(GaussianModel(0.25, 3.6), GaussianModel(13.09, 4.5),
+                          GaussianModel(-12.61, 4.6))
+    epoch = _random_epoch(rng, spec, vis)
+    expected, _ = reference_bssd_update(prior, epoch, routing, mode)
+    assert np.array_equal(update_gnss_bssd(prior, epoch, routing, mode).mass,
+                          expected.mass)
+
+
+def test_bssd_samples_every_pair_through_module_density(monkeypatch):
+    """Each used pair is one call of ``update.density``, the attribute a
+    tracer wraps, with the scratch buffer as both input and output."""
+    import gridfuse.update
+    calls = []
+
+    def counting(model, y, out=None):
+        calls.append(out is y)
+        return model.pdf(y, out)
+
+    monkeypatch.setattr(gridfuse.update, "density", counting)
+    spec = GridSpec((-5, -5), 1.0, (11, 11))
+    epoch = _noiseless_epoch(np.zeros(3), SAT_POSITIONS[:4], vis=[LOS, NLOS, LOS, NLOS])
+    update_gnss_bssd(init_uniform(spec), epoch, tight_routing(sigma=1.0))
+    assert calls == [True] * 10  # 12 ordered pairs, 2 of them both NLOS
+
+
+@pytest.mark.parametrize("mode", [SUM, PRODUCT])
+def test_bssd_update_peak_memory(mode):
+    """One 8-satellite epoch holds the distances, the accumulator and a few
+    grid arrays at once, not one array per pair."""
+    rng = np.random.default_rng(8)
+    spec = GridSpec((-100.0, -100.0), 1.0, (200, 200))
+    prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
+    epoch = _random_epoch(rng, spec, [LOS, LOS, NLOS, LOS, LOS, NLOS, LOS, LOS])
+    routing = BssdRouting.from_gmm(GmmModel((0.5, 0.25, 0.25), (0.25, 13.09, -12.61),
+                                            (13.0, 20.4, 21.0)))
+    tracemalloc.start()
+    try:
+        update_gnss_bssd(prior, epoch, routing, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid_bytes = spec.num_cells * 8
+    assert peak <= (len(epoch.satellites) + 4) * grid_bytes
 
 
 def test_bssd_single_satellite_no_update():
