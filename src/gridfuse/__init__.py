@@ -13,7 +13,7 @@ from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range
 from .prediction import MotionInput, TransitionWorkspace, predict
 from .simulator import (GroundTruth, Scenario, generate, make_dynamic_scenario,
                         make_static_scenario)
-from .update import BssdRouting, combine, update_aoa, update_gnss_bssd, update_range, update_tdoa
+from .update import BssdRouting, update_aoa, update_gnss_bssd, update_range, update_tdoa
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "error_series", "summarize",
     "MixtureLikelihoodModel", "MotionInput", "Observation", "Odometry", "Range",
     "RangeDifference", "ReferencePoint", "SatelliteObservation", "Scenario",
-    "TransitionWorkspace", "UniformModel", "combine", "density", "estimate",
+    "TransitionWorkspace", "UniformModel", "density", "estimate",
     "fit_gmm", "generate", "init_uniform", "make_dynamic_scenario",
     "make_static_scenario", "map_estimate", "predict", "recenter",
     "sample", "update_aoa", "update_gnss_bssd", "update_range", "update_tdoa",

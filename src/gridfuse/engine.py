@@ -16,7 +16,7 @@ from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
                            RangeDifference)
 from .prediction import MotionInput, Transition, TransitionWorkspace, predict
-from .update import (PRODUCT, SUM, BssdRouting, update_aoa, update_gnss_bssd,
+from .update import (SUM, BssdRouting, check_mode, update_aoa, update_gnss_bssd,
                      update_range, update_tdoa)
 
 log = logging.getLogger(__name__)
@@ -67,8 +67,12 @@ def _tie_key(obs: Observation):
 
 def _check_config(cfg: FilterConfig, radius: float, cell_size: float) -> None:
     """Reject a configuration the filter cannot run with, before any event."""
-    if cfg.combine_mode not in (SUM, PRODUCT):
-        raise ValueError(f"unknown combination mode {cfg.combine_mode!r}")
+    check_mode(cfg.combine_mode)
+    for name in ("range_model", "tdoa_model", "aoa_model"):
+        if not hasattr(getattr(cfg, name), "pdf"):
+            raise ValueError(f"{name} must be a density model, got {getattr(cfg, name)!r}")
+    if not isinstance(cfg.bssd_routing, BssdRouting):
+        raise ValueError(f"bssd_routing must be a BssdRouting, got {cfg.bssd_routing!r}")
     for name in ("sigma_speed", "sigma_heading", "sigma_rw"):
         value = getattr(cfg, name)
         if not (math.isfinite(value) and value > 0):

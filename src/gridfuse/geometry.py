@@ -1,4 +1,4 @@
-"""Geometric relations between reference points and grid cells, and innovations."""
+"""Geometric relations between reference points and grid cells."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-
-SPEED_OF_LIGHT = 299792458.0  # m/s
 
 # Marks cells where an angle relation is undefined (cell coincides with the
 # reference point); likelihood sampling treats these cells as uninformative.
@@ -70,13 +68,15 @@ def gamma_hyperbolic(ref_a: ReferencePoint, ref_b: ReferencePoint,
     """Range difference |x_a - x_i| - |x_b - x_i| (TDoA relation)."""
     if coincident(ref_a, ref_b):
         raise ValueError(f"coincident references {ref_a.id}, {ref_b.id}")
-    return gamma_distance(ref_a, grid) - gamma_distance(ref_b, grid)
+    d = gamma_distance(ref_a, grid)
+    d -= gamma_distance(ref_b, grid)
+    return d
 
 
 def gamma_angle(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
     """Four-quadrant bearing from each cell to the reference, in [-pi, pi]
     as ``arctan2`` gives it (-pi where dy is -0.0, e.g. a reference at y = -0.0
-    seen from cells at y = 0); ``innovations(..., wrap=True)`` wraps after
+    seen from cells at y = 0); the AoA likelihood wraps the innovation after
     differencing.
 
     Cells coinciding with the reference in the x-y plane get ANGLE_UNDEFINED.
@@ -90,10 +90,3 @@ def gamma_angle(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
         gamma = np.where(undefined, ANGLE_UNDEFINED, gamma)
     return gamma
 
-
-def innovations(observation_value: float, gamma: np.ndarray,
-                wrap: bool = False) -> np.ndarray:
-    """Per-cell innovation y = Z - Gamma, optionally wrapped to (-pi, pi]
-    (an undefined, NaN Gamma stays NaN)."""
-    y = observation_value - np.asarray(gamma, dtype=float)
-    return wrap_angle(y) if wrap else y

@@ -30,6 +30,10 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+        if not all(isinstance(v, (int, np.integer))
+                   or (isinstance(v, (float, np.floating)) and float(v).is_integer())
+                   for v in self.extent):
+            raise ValueError(f"extent entries must be integers, got {self.extent}")
         object.__setattr__(self, "extent", tuple(int(v) for v in self.extent))
         if not (np.isfinite(self.cell_size) and self.cell_size > 0):
             raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
@@ -103,10 +107,10 @@ def normalize(mass: np.ndarray) -> np.ndarray:
     return mass / total
 
 
-def recenter(field: LikelihoodField, new_origin, floor: float = MASS_FLOOR) -> LikelihoodField:
+def recenter(field: LikelihoodField, new_origin) -> LikelihoodField:
     """Translate the field to a new lattice-aligned origin.
 
-    Cells shifted in from outside the old grid receive ``floor`` mass; the
+    Cells shifted in from outside the old grid receive ``MASS_FLOOR`` mass; the
     result is renormalized.
     """
     spec = field.spec
@@ -119,7 +123,7 @@ def recenter(field: LikelihoodField, new_origin, floor: float = MASS_FLOOR) -> L
         raise ValueError(f"origin shift {new_origin} is not a whole-cell multiple")
 
     grid = field.mass.reshape(spec.extent)
-    shifted = np.full_like(grid, floor)
+    shifted = np.full_like(grid, MASS_FLOOR)
     src = [slice(max(o, 0), min(n, n + o)) for o, n in zip(offset, spec.extent)]
     dst = [slice(max(-o, 0), min(n, n - o)) for o, n in zip(offset, spec.extent)]
     if all(s.start < s.stop for s in src):

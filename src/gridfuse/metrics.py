@@ -14,6 +14,10 @@ log = logging.getLogger(__name__)
 
 SIGMA_LEVELS = (68.27, 95.45, 99.73)
 
+# An estimate is scored against the reference sample nearest in time, if
+# one lies within this many seconds of it.
+TIME_TOLERANCE = 1e-3
+
 
 @dataclass(frozen=True)
 class ErrorSeries:
@@ -37,8 +41,7 @@ class StatsSummary:
     count: int
 
 
-def error_series(estimates: list[Estimate], truth: GroundTruth,
-                 time_tolerance: float = 1e-3) -> ErrorSeries:
+def error_series(estimates: list[Estimate], truth: GroundTruth) -> ErrorSeries:
     """3D L2 error per estimate against the nearest-in-time reference sample."""
     values = []
     skipped = 0
@@ -51,7 +54,7 @@ def error_series(estimates: list[Estimate], truth: GroundTruth,
                 dt = abs(times[j] - est.timestamp)
                 if best is None or dt < best[0]:
                     best = (dt, j)
-        if best is None or best[0] > time_tolerance:
+        if best is None or best[0] > TIME_TOLERANCE:
             skipped += 1
             continue
         ref = truth.positions[best[1]]

@@ -167,4 +167,4 @@ def predict(posterior: LikelihoodField, transition: Transition | MotionInput,
         transition = ws.compose(None, transition)
     grid = posterior.mass.reshape(posterior.spec.extent)
     pred = fftconvolve(grid, transition.kernel, mode="same")
-    return LikelihoodField(posterior.spec, np.maximum(pred, 0.0).ravel())
+    return LikelihoodField(posterior.spec, np.maximum(pred, 0.0, out=pred).ravel())

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ReferencePoint, gamma_angle, gamma_distance,
-                       gamma_hyperbolic, innovations)
+                       gamma_hyperbolic, wrap_angle)
 from .grid import MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField
 from .noise import GmmModel, density
 from .observations import LOS, NLOS, Angle, GnssPseudoranges, Range, RangeDifference
@@ -48,30 +48,38 @@ class BssdRouting:
         return None
 
 
+def check_mode(mode: str) -> None:
+    if mode not in (SUM, PRODUCT):
+        raise ValueError(f"unknown combination mode {mode!r}")
+
+
+def _innovation_pdf(value: float, gamma: np.ndarray, model) -> np.ndarray:
+    """pdf(value - gamma) per cell, computed in ``gamma``'s own array."""
+    np.subtract(value, gamma, out=gamma)
+    return density(model, gamma, gamma)
+
+
 def likelihood_range(grid: GridSpec, obs: Range, anchor: ReferencePoint,
                      model) -> np.ndarray:
-    y = innovations(obs.value, gamma_distance(anchor, grid))
-    return density(model, y, y)
+    return _innovation_pdf(obs.value, gamma_distance(anchor, grid), model)
 
 
 def likelihood_tdoa(grid: GridSpec, obs: RangeDifference, ref_a: ReferencePoint,
                     ref_b: ReferencePoint, model) -> np.ndarray:
-    y = innovations(obs.value, gamma_hyperbolic(ref_a, ref_b, grid))
-    return density(model, y, y)
+    return _innovation_pdf(obs.value, gamma_hyperbolic(ref_a, ref_b, grid), model)
 
 
 def likelihood_aoa(grid: GridSpec, obs: Angle, anchor: ReferencePoint,
                    model) -> np.ndarray:
-    """Per-cell bearing likelihood. A cell under the anchor has no bearing; it
-    takes the mean likelihood of the others, so it keeps its prior share."""
-    y = innovations(obs.value, gamma_angle(anchor, grid), wrap=True)
-    defined = np.isfinite(y)
-    if np.all(defined):
-        return density(model, y, y)
-    inner = y[defined]
-    y[defined] = density(model, inner, inner)
-    y[~defined] = y[defined].mean()
-    return y
+    """Per-cell bearing likelihood of the innovation wrapped to (-pi, pi]. A
+    cell under the anchor has no bearing; it takes the mean likelihood of the
+    others, so it keeps its prior share."""
+    y = wrap_angle(obs.value - gamma_angle(anchor, grid))
+    undefined = np.isnan(y)
+    like = density(model, y, y)
+    if undefined.any():
+        like[undefined] = like[~undefined].mean()
+    return like
 
 
 def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
@@ -98,23 +106,11 @@ def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
             model = routing.select(a.visibility, b.visibility)
             if model is None:
                 continue
-            # y = delta_rho - (d_a - d_b), then its pdf, all in ``like``
             np.subtract(dists[a.sat_id], dists[b.sat_id], out=like)
-            np.subtract(a.pseudorange - b.pseudorange, like, out=like)
-            fold(acc, density(model, like, like), out=acc)
+            fold(acc, _innovation_pdf(a.pseudorange - b.pseudorange, like, model),
+                 out=acc)
             used.append((a.sat_id, b.sat_id))
     return used
-
-
-def _accumulator(prior: LikelihoodField, mode: str):
-    """The buffer and ufunc that fold likelihoods for ``mode``: zeros to add
-    them into (sum; 0.0 + x is x exactly, so the first array keeps its bits),
-    or a copy of the prior to multiply them into (product)."""
-    if mode == SUM:
-        return np.zeros(prior.mass.shape), np.add
-    if mode == PRODUCT:
-        return prior.mass.copy(), np.multiply
-    raise ValueError(f"unknown combination mode {mode!r}")
 
 
 def _posterior(prior: LikelihoodField, post: np.ndarray, mode: str) -> LikelihoodField:
@@ -128,46 +124,45 @@ def _posterior(prior: LikelihoodField, post: np.ndarray, mode: str) -> Likelihoo
         post *= prior.mass
     s = post.sum()
     if s <= 0 or not np.isfinite(s):
-        raise DegenerateFieldError("posterior mass collapsed during combine")
+        raise DegenerateFieldError("posterior mass collapsed in the update")
     return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR, out=post))
 
 
-def combine(prior: LikelihoodField, likelihoods: list[np.ndarray],
-            mode: str = SUM) -> LikelihoodField:
-    """Fuse observation likelihoods with the prior and normalize.
-
-    mode="sum": likelihood arrays are summed and normalized, then multiplied
-    elementwise with the prior (the filter's native combination rule).
-    mode="product": canonical Bayes, elementwise product of everything.
-    Both accumulate into one buffer in list order.
-    """
-    if not likelihoods:
-        return prior
-    post, fold = _accumulator(prior, mode)
-    for arr in likelihoods:
-        fold(post, arr, out=post)
-    return _posterior(prior, post, mode)
+def _fuse(prior: LikelihoodField, like: np.ndarray, mode: str) -> LikelihoodField:
+    """Fuse one likelihood array into the prior, in ``like`` itself: in sum
+    mode it is its own sum (0.0 + x is x exactly), in product mode the prior
+    is multiplied into it."""
+    check_mode(mode)
+    if mode == PRODUCT:
+        like *= prior.mass
+    return _posterior(prior, like, mode)
 
 
 def update_range(prior: LikelihoodField, obs: Range, anchor: ReferencePoint,
                  model, mode: str = SUM) -> LikelihoodField:
-    return combine(prior, [likelihood_range(prior.spec, obs, anchor, model)], mode)
+    return _fuse(prior, likelihood_range(prior.spec, obs, anchor, model), mode)
 
 
 def update_tdoa(prior: LikelihoodField, obs: RangeDifference,
                 ref_a: ReferencePoint, ref_b: ReferencePoint, model,
                 mode: str = SUM) -> LikelihoodField:
-    return combine(prior, [likelihood_tdoa(prior.spec, obs, ref_a, ref_b, model)], mode)
+    return _fuse(prior, likelihood_tdoa(prior.spec, obs, ref_a, ref_b, model), mode)
 
 
 def update_aoa(prior: LikelihoodField, obs: Angle, anchor: ReferencePoint,
                model, mode: str = SUM) -> LikelihoodField:
-    return combine(prior, [likelihood_aoa(prior.spec, obs, anchor, model)], mode)
+    return _fuse(prior, likelihood_aoa(prior.spec, obs, anchor, model), mode)
 
 
 def update_gnss_bssd(prior: LikelihoodField, obs: GnssPseudoranges,
                      routing: BssdRouting, mode: str = SUM) -> LikelihoodField:
-    post, fold = _accumulator(prior, mode)
+    """Fold every usable pair into one accumulator: zeros to add them into
+    (sum; 0.0 + x is x exactly), or a copy of the prior to multiply them into."""
+    check_mode(mode)
+    if mode == SUM:
+        post, fold = np.zeros(prior.mass.shape), np.add
+    else:
+        post, fold = prior.mass.copy(), np.multiply
     used = bssd_pair_likelihoods(prior.spec, obs, routing, post, fold)
     n = len(obs.satellites)
     log.debug("GNSS epoch with %d satellite(s): %d BSSD pair(s) used, %d dropped",

@@ -24,9 +24,10 @@ from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
 from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
 from gridfuse.simulator import (generate, make_dynamic_scenario,
                                 make_static_scenario)
-from gridfuse.update import (BssdRouting, combine, likelihood_range,
-                             update_aoa, update_gnss_bssd, update_range,
-                             update_tdoa)
+from gridfuse.update import (PRODUCT, BssdRouting, likelihood_range, update_aoa,
+                             update_gnss_bssd, update_range, update_tdoa)
+
+from fusion_reference import reference_combine
 
 PAPER_GMM = GmmModel.from_unnormalized(
     weights=(0.42, 0.24, 0.24, 0.01),
@@ -171,7 +172,7 @@ def test_03_noiseless_convergence():
     arrays = [likelihood_range(spec, Range(a.id, float(
         np.linalg.norm(np.asarray(a.position) - truth))), a,
         GaussianModel(0.0, 0.1)) for a in anchors]
-    post = combine(init_uniform(spec), arrays)
+    post = reference_combine(init_uniform(spec), arrays)
     map_pos = spec.positions()[map_estimate(post)]
     range_err_cells = np.linalg.norm(map_pos - truth[:2]) / spec.cell_size
 
@@ -310,9 +311,9 @@ def test_09_multirate_bookkeeping():
         np.linalg.norm(np.asarray(a.position) - truth)))) for a in anchors]
     for o in obs:
         engine.step(o)
-    joint = combine(init_uniform(spec),
-                    [likelihood_range(spec, o.payload, a, model)
-                     for o, a in zip(obs, anchors)], mode="product")
+    joint = reference_combine(init_uniform(spec),
+                              [likelihood_range(spec, o.payload, a, model)
+                               for o, a in zip(obs, anchors)], PRODUCT)
     batch_dev = float(np.max(np.abs(engine.field.mass - joint.mass)))
     batch_ok = batch_dev < 1e-9
 

@@ -165,3 +165,18 @@ def test_demo_alternate_seed_differs(tmp_path, capsys):
     assert ((out1 / "static_observations.csv").read_bytes()
             != (out2 / "static_observations.csv").read_bytes())
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["sum", "product"])
+def test_filter_on_demo_files_reproduces_demo_estimates(tmp_path, capsys, mode):
+    """The filter command on the demo's written config and observations gives
+    the demo's in-process static estimates, byte for byte, in both rules."""
+    demo = tmp_path / "demo"
+    assert main(["demo", "--out", str(demo), "--seed", "42", "--combine", mode]) == EXIT_OK
+    fil = tmp_path / "fil"
+    assert main(["filter", "--config", str(demo / "filter.json"),
+                 "--observations", str(demo / "static_observations.csv"),
+                 "--out", str(fil), "--combine", mode]) == EXIT_OK
+    assert ((fil / "estimates.csv").read_bytes()
+            == (demo / "static_estimates.csv").read_bytes())
+    capsys.readouterr()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridfuse.engine import FilterConfig, FusionEngine, _tie_key
+from gridfuse.engine import DEFAULT_BSSD_GMM, FilterConfig, FusionEngine, _tie_key
 from gridfuse.geometry import ReferencePoint
 from gridfuse.grid import GridSpec, init_uniform
 from gridfuse.noise import GaussianModel
@@ -13,7 +13,9 @@ from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
 from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
-from gridfuse.update import combine, update_range
+from gridfuse.update import PRODUCT, update_range
+
+from fusion_reference import reference_combine
 
 SPEC = GridSpec((-10.0, -10.0), 1.0, (21, 21))
 ANCHORS = [
@@ -79,6 +81,10 @@ BAD_CONFIGS = {
     "radius_nan": dict(estimate_radius=math.nan),
     "radius_below_cell": dict(estimate_radius=0.5 * SPEC.cell_size),
     "radius_negative_inf": dict(estimate_radius=-math.inf),
+    "range_model_int": dict(range_model=3),
+    "tdoa_model_none": dict(tdoa_model=None),
+    "aoa_model_str": dict(aoa_model="gauss"),
+    "bssd_routing_gmm": dict(bssd_routing=DEFAULT_BSSD_GMM),
 }
 
 
@@ -132,7 +138,7 @@ def test_same_timestamp_batch_matches_joint_product_update():
     from gridfuse.update import likelihood_range
     arrays = [likelihood_range(SPEC, range_obs(t, a).payload, a,
                                GaussianModel(0.0, 1.0)) for a in ANCHORS]
-    joint = combine(init_uniform(SPEC), arrays, mode="product")
+    joint = reference_combine(init_uniform(SPEC), arrays, PRODUCT)
     assert np.max(np.abs(eng.field.mass - joint.mass)) < 1e-9
 
 

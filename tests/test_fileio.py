@@ -71,6 +71,12 @@ def test_grid_json_round_trip():
     assert grid_from_json(grid_to_json(spec)) == spec
 
 
+@pytest.mark.parametrize("extent", [[20.9, 30], [20, "30"], [20.9, "30"]])
+def test_grid_json_rejects_non_integer_extent(extent):
+    with pytest.raises(DataFormatError, match="extent"):
+        grid_from_json({"origin": [0.0, 0.0], "cell_size": 1.0, "extent": extent})
+
+
 def test_scenario_json_round_trip_reproduces_stream(tmp_path):
     sc = make_static_scenario(n_epochs=40, seed=9)
     path = tmp_path / "scenario.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridfuse.geometry import (ReferencePoint, gamma_angle, gamma_distance,
-                               gamma_hyperbolic, innovations, wrap_angle)
+                               gamma_hyperbolic, wrap_angle)
 from gridfuse.grid import GridSpec
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (8, 8))
@@ -109,14 +109,9 @@ def test_angle_sentinel_on_coincident_cell():
     assert np.isfinite(np.delete(g, SPEC.coords_to_index((2, 3)))).all()
 
 
-def test_innovation_distance_example():
-    y = innovations(10.0, np.array([8.0, 10.0, 13.0]))
-    assert np.allclose(y, [2.0, 0.0, -3.0])
-
-
 def test_innovation_angle_wrap_example():
     # Z = -3.1 vs Gamma = +3.1 wraps to ~+0.083, not -6.2
-    y = innovations(-3.1, np.array([3.1]), wrap=True)
+    y = wrap_angle(-3.1 - np.array([3.1]))
     expected = -6.2 + 2.0 * math.pi
     assert y[0] == pytest.approx(expected, abs=1e-12)
 

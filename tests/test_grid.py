@@ -33,10 +33,20 @@ def test_init_uniform_normalized():
     dict(origin=(0, 0), cell_size=float("inf"), extent=(5, 5)),
     dict(origin=(0, 0), cell_size=1.0, extent=(5, 5), plane_height=float("nan")),
     dict(origin=(0, 0), cell_size=1.0, extent=(5, 5), plane_height=float("inf")),
+    dict(origin=(0, 0), cell_size=1.0, extent=(20.9, 30)),
+    dict(origin=(0, 0), cell_size=1.0, extent=(20, "30")),
+    dict(origin=(0, 0), cell_size=1.0, extent=(np.float64(5.5), 5)),
+    dict(origin=(0, 0), cell_size=1.0, extent=(float("nan"), 5)),
+    dict(origin=(0, 0), cell_size=1.0, extent=(float("inf"), 5)),
 ])
 def test_invalid_specs(kwargs):
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
+
+
+def test_integral_extent_entries_accepted():
+    spec = GridSpec((0, 0), 1.0, (np.int64(20), 30.0))
+    assert spec.extent == (20, 30) and all(type(e) is int for e in spec.extent)
 
 
 def test_normalize_examples():

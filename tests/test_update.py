@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from gridfuse.geometry import ReferencePoint, gamma_distance, wrap_angle
-from gridfuse.grid import (MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField,
-                           init_uniform)
+from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
 from gridfuse.noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Range,
                                    RangeDifference, SatelliteObservation)
-from gridfuse.update import (PRODUCT, SUM, BssdRouting, bssd_pair_likelihoods, combine,
-                             update_aoa, update_gnss_bssd, update_range, update_tdoa)
+from gridfuse.update import (PRODUCT, SUM, BssdRouting, _innovation_pdf,
+                             bssd_pair_likelihoods, likelihood_aoa, likelihood_range,
+                             likelihood_tdoa, update_aoa, update_gnss_bssd, update_range,
+                             update_tdoa)
+
+from fusion_reference import reference_combine
 
 UWB_MODEL = MixtureLikelihoodModel(0.9, GaussianModel(0.05, 0.31),
                                    UniformModel(-30.0, 30.0))
@@ -151,7 +154,6 @@ def test_aoa_likelihood_matches_two_wrap_arithmetic(anchor_y):
     former arithmetic, which wrapped the bearings and then the finite
     innovations again. The anchor sits over a cell; at y = -0.0, arctan2 gives
     -pi on the cells east of it."""
-    from gridfuse.update import likelihood_aoa
     spec = GridSpec((-3.0, -2.0), 0.5, (13, 11))
     anchor = ReferencePoint("a", (0.0, anchor_y, 2.0))
     model = GaussianModel(0.0, 0.1)
@@ -308,25 +310,9 @@ def test_bssd_visibility_routing():
     assert post is prior
 
 
-def reference_combine(prior, arrays, mode):
-    """``combine`` written out: sum the arrays in list order, normalise and
-    weigh by the prior (sum), or multiply them into the prior (product)."""
-    if mode == SUM:
-        post = arrays[0].copy()
-        for arr in arrays[1:]:
-            post += arr
-        post /= post.sum()
-        post *= prior.mass
-    else:
-        post = prior.mass * arrays[0]
-        for arr in arrays[1:]:
-            post *= arr
-    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR))
-
-
 def reference_bssd_update(prior, obs, routing, mode=SUM):
     """The BSSD update as one ``model.pdf`` array per usable ordered pair,
-    then the ``combine`` fold: the allocating form that ``update_gnss_bssd``
+    then the reference fold: the allocating form that ``update_gnss_bssd``
     folds into one accumulator. Returns the posterior and the pair count."""
     dist = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), prior.spec)
             for s in obs.satellites}
@@ -343,12 +329,45 @@ def reference_bssd_update(prior, obs, routing, mode=SUM):
 
 @pytest.mark.parametrize("mode", [SUM, PRODUCT])
 def test_combine_matches_written_out_fold(mode):
+    """Range, TDoA and AoA fuse their likelihood in the array that sampled
+    it, with the bits of the written-out fold; the AoA anchor sits over a
+    cell."""
     rng = np.random.default_rng(6)
     spec = GridSpec((0, 0), 1.0, (9, 7))
     prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
-    arrays = [rng.random(spec.num_cells) * 10.0 ** -k for k in range(4)]
-    assert np.array_equal(combine(prior, arrays, mode).mass,
-                          reference_combine(prior, arrays, mode).mass)
+    a = ReferencePoint("a", (2.0, 3.0, 1.5))
+    b = ReferencePoint("b", (7.5, 1.2, 2.0))
+    m = UWB_MODEL
+    cases = [
+        (update_range(prior, Range("a", 3.7), a, m, mode),
+         likelihood_range(spec, Range("a", 3.7), a, m)),
+        (update_tdoa(prior, RangeDifference("a", "b", -1.3), a, b, m, mode),
+         likelihood_tdoa(spec, RangeDifference("a", "b", -1.3), a, b, m)),
+        (update_aoa(prior, Angle("a", 0.4), a, GaussianModel(0.0, 0.3), mode),
+         likelihood_aoa(spec, Angle("a", 0.4), a, GaussianModel(0.0, 0.3))),
+    ]
+    for post, like in cases:
+        assert np.array_equal(post.mass, reference_combine(prior, [like], mode).mass)
+
+
+def test_innovation_pdf_distance_example():
+    """pdf(Z - Gamma) is computed in Gamma's own array."""
+    gamma = np.array([8.0, 10.0, 13.0])
+    model = GaussianModel(0.0, 1.0)
+    out = _innovation_pdf(10.0, gamma, model)
+    assert out is gamma
+    assert np.array_equal(out, model.pdf(np.array([2.0, 0.0, -3.0])))
+
+
+@pytest.mark.parametrize("mode", ["prod", None])
+def test_update_unknown_mode_raises(mode):
+    spec = GridSpec((0, 0), 1.0, (5, 5))
+    anchor = ReferencePoint("a", (2.0, 2.0, 1.0))
+    with pytest.raises(ValueError, match="unknown combination mode"):
+        update_range(init_uniform(spec), Range("a", 1.0), anchor, UWB_MODEL, mode)
+    epoch = GnssPseudoranges((_sat("G0", SAT_POSITIONS[0], 2e7),))
+    with pytest.raises(ValueError, match="unknown combination mode"):
+        update_gnss_bssd(init_uniform(spec), epoch, tight_routing(), mode)
 
 
 def _random_epoch(rng, spec, vis, nlos_bias=13.0):
@@ -390,7 +409,7 @@ def test_bssd_skips_nlos_pairs_in_mixed_epoch(caplog):
 ], ids=["6_sats", "8_sats", "8_los"])
 def test_bssd_update_matches_per_pair_reference(vis, mode):
     """Folding pairs into one accumulator gives the bits of per-pair arrays
-    fused by ``combine``, in both fusion rules."""
+    fused by the reference fold, in both fusion rules."""
     rng = np.random.default_rng(len(vis) + vis.count(NLOS))
     spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (23, 19), plane_height=1.5)
     prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
@@ -439,6 +458,23 @@ def test_bssd_update_peak_memory(mode):
     assert peak <= (len(epoch.satellites) + 4) * grid_bytes
 
 
+@pytest.mark.parametrize("mode", [SUM, PRODUCT])
+def test_range_update_peak_memory(mode):
+    """A range update samples and fuses in one grid array: with the mixture
+    model's scratch and the posterior's normalised copy it peaks well below
+    the three arrays that a separate fusion buffer would add up to."""
+    spec = GridSpec((-15.0, -15.0), 0.2, (150, 150))
+    prior = LikelihoodField(spec, np.random.default_rng(3).random(spec.num_cells) + 0.01)
+    anchor = ReferencePoint("a", (2.0, -4.0, 2.5))
+    tracemalloc.start()
+    try:
+        update_range(prior, Range("a", 9.0), anchor, UWB_MODEL, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * spec.num_cells * 8
+
+
 def test_bssd_single_satellite_no_update():
     spec = GridSpec((-5, -5), 1.0, (11, 11))
     prior = init_uniform(spec)
@@ -447,24 +483,32 @@ def test_bssd_single_satellite_no_update():
 
 
 def test_combine_single_observation_modes_agree():
+    """With one likelihood the two fusion rules agree, up to rounding."""
     spec = GridSpec((0, 0), 1.0, (10, 10))
     rng = np.random.default_rng(4)
-    like = rng.random(100) + 0.01
-    prior = init_uniform(spec)
-    s = combine(prior, [like], mode="sum")
-    p = combine(prior, [like], mode="product")
+    prior = LikelihoodField(spec, rng.random(100) + 0.01)
+    anchor = ReferencePoint("a", (3.3, 6.1, 1.0))
+    s = update_range(prior, Range("a", 4.2), anchor, UWB_MODEL, SUM)
+    p = update_range(prior, Range("a", 4.2), anchor, UWB_MODEL, PRODUCT)
     assert np.allclose(s.mass, p.mass, atol=1e-12)
 
 
 def test_combine_duplicate_observation_product_sharper():
-    spec = GridSpec((0, 0), 1.0, (10, 10))
-    rng = np.random.default_rng(5)
-    like = rng.random(100) + 0.01
+    """A second NLOS satellite that repeats the first one's position and
+    pseudorange repeats its pairs with the LOS satellite (the NLOS-NLOS pairs
+    are dropped): the sum rule is unmoved by the duplicates, the product rule
+    counts them twice."""
+    spec = GridSpec((-10, -10), 1.0, (21, 21))
+    truth = np.array([2.0, -3.0, 0.0])
+    routing = tight_routing(sigma=3.0)
+    single = _noiseless_epoch(truth, SAT_POSITIONS[:2], vis=[NLOS, LOS])
+    twice = _noiseless_epoch(truth, [SAT_POSITIONS[0], *SAT_POSITIONS[:2]],
+                             vis=[NLOS, NLOS, LOS])
     prior = init_uniform(spec)
-    s = combine(prior, [like, like], mode="sum")
-    single = combine(prior, [like], mode="sum")
-    assert np.allclose(s.mass, single.mass, atol=1e-12)
-    p = combine(prior, [like, like], mode="product")
+    s = update_gnss_bssd(prior, twice, routing, SUM)
+    assert np.allclose(s.mass, update_gnss_bssd(prior, single, routing, SUM).mass,
+                       atol=1e-12)
+    p = update_gnss_bssd(prior, twice, routing, PRODUCT)
 
     def entropy(m):
         m = m[m > 0]
@@ -474,14 +518,21 @@ def test_combine_duplicate_observation_product_sharper():
 
 
 def test_combine_empty_returns_prior():
+    """An epoch without a usable pair leaves the prior itself, in both rules."""
     prior = init_uniform(GridSpec((0, 0), 1.0, (5, 5)))
-    assert combine(prior, []) is prior
+    both_nlos = _noiseless_epoch(np.zeros(3), SAT_POSITIONS[:2], vis=[NLOS, NLOS])
+    for mode in (SUM, PRODUCT):
+        assert update_gnss_bssd(prior, both_nlos, tight_routing(), mode) is prior
 
 
 def test_combine_all_zero_product_degenerate():
+    """A likelihood that is zero on every cell leaves no posterior mass, in
+    either rule."""
     prior = init_uniform(GridSpec((0, 0), 1.0, (5, 5)))
-    with pytest.raises(DegenerateFieldError):
-        combine(prior, [np.zeros(25)], mode="product")
+    anchor = ReferencePoint("a", (2.0, 2.0, 0.0))
+    for mode in (SUM, PRODUCT):
+        with pytest.raises(DegenerateFieldError):
+            update_range(prior, Range("a", 50.0), anchor, UniformModel(-1.0, 1.0), mode)
 
 
 def test_posterior_normalization():
