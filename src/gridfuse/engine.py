@@ -99,7 +99,7 @@ class FusionEngine:
         self.last_timestamp: float | None = None
         # The last admitted odometry, held until the next one.
         self.motion: Odometry | None = None
-        # Prediction steps since the last update, composed into one kernel.
+        # Prediction steps since the last update, composed into one transition.
         self.pending: Transition | None = None
         self.estimates: list[Estimate] = []
         self.rejected: list[tuple[Observation, str]] = []
@@ -142,16 +142,16 @@ class FusionEngine:
             return "NegativeSpeed"
         return None
 
-    def _step_motion(self, dt: float) -> MotionInput:
-        """The zero-order-held odometry over ``dt``, or a random walk before
-        any odometry arrived."""
+    def _step(self, dt: float) -> Transition:
+        """The zero-order-held odometry's step over ``dt``, or a random walk
+        before any odometry arrived."""
         m, cfg = self.motion, self.config
         speed, heading = (None, None) if m is None else (m.speed, m.heading)
-        return MotionInput(speed, heading, cfg.sigma_speed, cfg.sigma_heading, dt,
-                           cfg.sigma_rw)
+        return Transition.step(MotionInput(speed, heading, cfg.sigma_speed,
+                                           cfg.sigma_heading, dt, cfg.sigma_rw))
 
     def _apply_pending(self) -> None:
-        """Predict the field through the pending kernel, in one convolution."""
+        """Predict the field through the pending transition, in one convolution."""
         if self.pending is not None:
             transition, self.pending = self.pending, None
             self._reinit_on_collapse(
@@ -208,8 +208,8 @@ class FusionEngine:
     def step(self, obs: Observation) -> Estimate | None:
         """Admit and process one event; returns an estimate for positioning
         events. A rejected event is recorded in ``rejected`` with its reason
-        and changes nothing else. Every step with dt > 0 composes its motion
-        into the pending kernel, which a positioning event applies before its
+        and changes nothing else. Every step with dt > 0 adds its moments to
+        the pending transition, which a positioning event applies before its
         update; after an odometry event the field lags until the next fix (or
         the end of ``run``). A step that reinitialised the field does not
         recenter on it."""
@@ -225,7 +225,8 @@ class FusionEngine:
                         self.config.max_gap, obs.timestamp)
         self.last_timestamp = obs.timestamp
         if dt > 0.0:
-            self.pending = self.workspace.compose(self.pending, self._step_motion(dt))
+            step = self._step(dt)
+            self.pending = step if self.pending is None else self.pending.then(step)
 
         if isinstance(obs.payload, Odometry):
             self.motion = obs.payload

@@ -36,9 +36,14 @@ class ReferencePoint:
 
 
 def wrap_angle(angle):
-    """Wrap angles to (-pi, pi]."""
-    wrapped = np.remainder(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(wrapped <= -np.pi, wrapped + 2.0 * np.pi, wrapped)
+    """Wrap angles to (-pi, pi], in one copy of the input (a 0-d array for a
+    scalar)."""
+    out = np.array(angle, dtype=float)
+    out += np.pi
+    np.remainder(out, 2.0 * np.pi, out=out)
+    out -= np.pi
+    np.add(out, 2.0 * np.pi, out=out, where=out <= -np.pi)
+    return out
 
 
 def gamma_distance(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:

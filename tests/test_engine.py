@@ -12,7 +12,7 @@ from gridfuse.noise import GaussianModel
 from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
-from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
+from gridfuse.prediction import MotionInput, Transition, TransitionWorkspace, predict
 from gridfuse.update import PRODUCT, update_range
 
 from fusion_reference import reference_combine
@@ -267,8 +267,8 @@ def test_invalid_events_leave_no_trace(clean_run, inserts, rnd, by_step):
 
 
 def test_prediction_collapse_reinitializes():
-    """A motion kernel that underflows everywhere restarts the posterior
-    uniform, and the event's own update still applies."""
+    """A motion kernel with no cell within 6 sigma of its mean restarts the
+    posterior uniform, and the event's own update still applies."""
     eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
     rng = range_obs(0.5, ANCHORS[0])
     ests = eng.run([Observation(0.1, Odometry(100.0, 0.0)), rng])
@@ -279,26 +279,30 @@ def test_prediction_collapse_reinitializes():
 
 
 def test_collapse_applying_pending_kernel_reinitializes():
-    """Odometry far too fast for the grid underflows the composed kernel. The
-    fix that applies it restarts from a uniform field, counted, and still
-    updates; a stream that ends in such odometry ends uniform."""
-    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
-    fix = range_obs(0.5, ANCHORS[0])
-    eng.run([range_obs(0.1, ANCHORS[1]), Observation(0.2, Odometry(1000.0, 0.0)),
-             Observation(0.3, Odometry(1000.0, 0.0)), fix])
-    assert eng.reinit_count == 1 and eng.pending is None
-    expected = update_range(init_uniform(SPEC), fix.payload, ANCHORS[0],
-                            eng.config.range_model)
-    assert np.array_equal(eng.field.mass, expected.mass)
+    """Odometry far too fast for the grid leaves the pending transition no
+    kernel: at 1000 m/s its mean lies beyond 6 sigma of every cell, at 1e200 m/s
+    its moments overflow. The fix that applies it restarts from a uniform
+    field, counted and without a warning, and still updates; a stream that
+    ends in such odometry ends uniform."""
+    for speed, heading in ((1000.0, 0.0), (1e200, 0.3)):
+        eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
+        fix = range_obs(0.5, ANCHORS[0])
+        eng.run([range_obs(0.1, ANCHORS[1]), Observation(0.2, Odometry(speed, heading)),
+                 Observation(0.3, Odometry(speed, heading)), fix])
+        assert eng.reinit_count == 1 and eng.pending is None
+        expected = update_range(init_uniform(SPEC), fix.payload, ANCHORS[0],
+                                eng.config.range_model)
+        assert np.array_equal(eng.field.mass, expected.mass)
 
-    eng.run([Observation(0.6, Odometry(1000.0, 0.0))])
-    assert eng.reinit_count == 2
-    assert np.array_equal(eng.field.mass, init_uniform(SPEC).mass)
+        eng.run([Observation(0.6, Odometry(speed, heading))])
+        assert eng.reinit_count == 2
+        assert np.array_equal(eng.field.mass, init_uniform(SPEC).mass)
 
 
 def test_run_ending_in_odometry_predicts_to_last_timestamp():
-    """``run`` applies the kernel still pending after the last fix, so the
-    field is the step-by-step prediction to the last event's time."""
+    """``run`` applies the transition still pending after the last fix, so the
+    field is one prediction through the composed steps to the last event's
+    time."""
     cfg = FilterConfig(range_model=GaussianModel(0.0, 0.3), recenter_enabled=False)
     fixes = [range_obs(0.1 * (k + 1), ANCHORS[k % 3]) for k in range(6)]
     odometry = [Observation(0.7, Odometry(2.0, 0.5)),
@@ -309,11 +313,11 @@ def test_run_ending_in_odometry_predicts_to_last_timestamp():
     assert eng.run(fixes + odometry) == at_last_fix.estimates
     assert eng.last_timestamp == 0.9 and eng.pending is None
 
-    ws = TransitionWorkspace(SPEC)
     random_walk = MotionInput(None, None, cfg.sigma_speed, cfg.sigma_heading, 0.1,
                               cfg.sigma_rw)
     moving = MotionInput(2.0, 0.5, cfg.sigma_speed, cfg.sigma_heading, 0.2, cfg.sigma_rw)
-    expected = predict(predict(at_last_fix.field, random_walk, ws), moving, ws).mass
+    pending = Transition.step(random_walk).then(Transition.step(moving))
+    expected = predict(at_last_fix.field, pending, TransitionWorkspace(SPEC)).mass
     assert not np.allclose(eng.field.mass, at_last_fix.field.mass)
     assert np.max(np.abs(eng.field.mass - expected)) <= 1e-12 * expected.max()
 

@@ -139,6 +139,29 @@ def test_wrap_angle_range(x):
     assert math.isclose(math.cos(w), math.cos(x), abs_tol=1e-9)
 
 
+WRAP_EDGES = [math.pi, -math.pi, 0.0, -0.0, math.nan, 3.0 * math.pi, -3.0 * math.pi,
+              1e9, np.nextafter(math.pi, 4.0), np.nextafter(math.pi, 0.0),
+              np.nextafter(-math.pi, -4.0), np.nextafter(-math.pi, 0.0)]
+
+
+def test_wrap_angle_in_place_is_bit_identical():
+    """The in-place wrap gives the bits of the out-of-place formula, on
+    arrays and on scalars (as 0-d arrays), and leaves its input alone."""
+    def formula(angle):
+        wrapped = np.remainder(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+        return np.where(wrapped <= -np.pi, wrapped + 2.0 * np.pi, wrapped)
+
+    values = np.array(WRAP_EDGES)
+    kept = values.copy()
+    wrapped = wrap_angle(values)
+    assert np.array_equal(wrapped.view(np.int64), formula(values).view(np.int64))
+    assert np.array_equal(values.view(np.int64), kept.view(np.int64))
+    for v in WRAP_EDGES:
+        w = wrap_angle(float(v))
+        assert isinstance(w, np.ndarray) and w.shape == ()
+        assert w.view(np.int64) == formula(float(v)).view(np.int64)
+
+
 def test_reference_point_validation():
     with pytest.raises(ValueError):
         ReferencePoint("bad", (float("nan"), 0.0, 0.0))

@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from gridfuse.grid import GridSpec, LikelihoodField, init_uniform
-from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
+from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
+from gridfuse.prediction import MotionInput, Transition, TransitionWorkspace, predict
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (21, 21))
 WS = TransitionWorkspace(SPEC)
@@ -112,10 +112,15 @@ def test_prediction_spreads_mass():
 
 
 def test_kernel_truncation_radius_scales_with_motion():
-    slow = WS.radius_cells(WS.reach(MotionInput(1.0, 0.0, sigma_speed=0.1, dt=1.0)))
-    fast = WS.radius_cells(WS.reach(MotionInput(8.0, 0.0, sigma_speed=0.1, dt=1.0)))
-    assert fast > slow
-    assert fast <= max(SPEC.extent) - 1
+    """The window reaches |mean|_inf + 6 sigma_max: it grows with the travel
+    and stops at the grid extent less one."""
+    def radius(speed):
+        step = Transition.step(MotionInput(speed, 0.0, sigma_speed=0.1, dt=1.0))
+        return (WS.transition_kernel(step).shape[0] - 1) // 2
+
+    slow, fast = radius(1.0), radius(8.0)
+    assert slow < fast <= max(SPEC.extent) - 1
+    assert radius(30.0) == max(SPEC.extent) - 1
 
 
 def test_motion_input_validation():
@@ -145,84 +150,130 @@ def test_motion_input_rejects_non_finite(field, value, message):
         MotionInput(**kwargs)
 
 
-def test_workspace_requires_2d():
-    with pytest.raises(ValueError):
-        TransitionWorkspace(GridSpec((0, 0, 0), 1.0, (4, 4, 4)))
-
-
 def test_chapman_kolmogorov_matches_dense_oracle():
-    """Convolution result equals the explicit source-to-target double sum."""
+    """Convolution result equals the explicit source-to-target double sum of
+    the Gaussian kernel: covariance plus (h/2)^2 per axis, cut beyond 6 sigma
+    and outside the window of radius |mean|_inf + 6 sigma_max."""
     spec = GridSpec((0.0, 0.0), 1.0, (9, 9))
     ws = TransitionWorkspace(spec)
     rng = np.random.default_rng(2)
     field = LikelihoodField(spec, rng.random(spec.num_cells))
-    motion = MotionInput(1.5, 0.4, sigma_speed=0.4, sigma_heading=0.3, dt=1.0)
+    transition = Transition.step(MotionInput(1.5, 0.4, sigma_speed=0.4,
+                                             sigma_heading=0.3, dt=1.0)).then(
+        Transition.step(MotionInput(None, None, sigma_rw=0.3, dt=0.5)))
 
-    sigma_v = motion.sigma_speed * motion.dt
+    cov = transition.cov + 0.25 * spec.cell_size ** 2 * np.eye(2)
+    inv = np.linalg.inv(cov)
+    sigma_max = math.sqrt(np.linalg.eigvalsh(cov)[-1])
+    r = math.ceil((np.abs(transition.mean).max() + 6.0 * sigma_max) / spec.cell_size)
+    assert r < max(spec.extent) - 1  # the window, not the grid, bounds the kernel
     pred = np.zeros(spec.num_cells)
     pos = spec.positions()
-    r = ws.radius_cells(ws.reach(motion))
     for i in range(spec.num_cells):
         for j in range(spec.num_cells):
-            delta = pos[i] - pos[j]
             ci = np.asarray(spec.index_to_coords(i))
             cj = np.asarray(spec.index_to_coords(j))
             if np.max(np.abs(ci - cj)) > r:
-                continue  # outside the truncated kernel support
-            d = math.hypot(*delta)
-            k_v = math.exp(-0.5 * ((motion.speed * motion.dt - d) / sigma_v) ** 2) \
-                / (math.sqrt(2 * math.pi) * sigma_v)
-            if d == 0.0:
-                k_h = 1.0 / (2.0 * math.pi)
-            else:
-                a = motion.heading - math.atan2(delta[1], delta[0])
-                while a <= -math.pi:
-                    a += 2 * math.pi
-                while a > math.pi:
-                    a -= 2 * math.pi
-                k_h = math.exp(-0.5 * (a / motion.sigma_heading) ** 2) \
-                    / (math.sqrt(2 * math.pi) * motion.sigma_heading)
-            pred[i] += k_v * k_h * field.mass[j]
+                continue  # outside the truncated kernel window
+            e = pos[i] - pos[j] - transition.mean
+            q = e @ inv @ e
+            if q <= 36.0:
+                pred[i] += math.exp(-0.5 * q) * field.mass[j]
     pred /= pred.sum()
 
-    out = predict(field, motion, ws)
+    out = predict(field, transition, ws)
     assert np.allclose(out.mass, pred, rtol=0.0, atol=1e-12)
 
 
+H = 0.2
+
+
+@pytest.mark.parametrize("heading", [0.0, 0.7, math.pi / 2.0, -2.5])
+@pytest.mark.parametrize("speed, dt, n", [
+    (0.0, 0.2, 5),     # the polar kernel: mean +0.631 m along the heading
+    (1.5, 0.025, 1),   # 3.75 cm; the polar kernel: 0
+    (1.5, 1.0, 1),     # 1.5 m; the polar kernel: 1.632 m
+    (5.0, 0.5, 1),
+], ids=["5x0.2s@0", "0.025s@1.5", "1s@1.5", "0.5s@5"])
+def test_kernel_moments_match_analytic(speed, dt, n, heading):
+    """The normalised kernel's mean is within 0.05 cell of the summed step
+    means, and its per-axis standard deviation within 0.05 cell of the summed
+    covariance plus the floor h^2/6 and the cell's own variance h^2/12
+    (worst case measured: 0.02 cell for the mean, 0.037 cell for the spread)."""
+    ws = TransitionWorkspace(GridSpec((0.0, 0.0), H, (80, 80)))
+    step = Transition.step(MotionInput(speed, heading, dt=dt))
+    transition = step
+    for _ in range(n - 1):
+        transition = transition.then(step)
+    mean = n * step.mean
+    var = n * np.diag(step.cov) + H * H / 6.0 + H * H / 12.0
+
+    kernel = ws.transition_kernel(transition)
+    kernel = kernel / kernel.sum()
+    r = (kernel.shape[0] - 1) // 2
+    offsets = H * np.arange(-r, r + 1)
+    marginals = kernel.sum(axis=1), kernel.sum(axis=0)
+    k_mean = np.array([m @ offsets for m in marginals])
+    k_std = np.sqrt([m @ (offsets - c) ** 2 for m, c in zip(marginals, k_mean)])
+    assert np.max(np.abs(k_mean - mean)) <= 0.05 * H
+    assert np.max(np.abs(k_std - np.sqrt(var))) <= 0.05 * H
+
+
 def test_composed_prediction_matches_sequential():
-    """One convolution with the composed, cropped kernel equals predicting
-    step by step, on a blob that stays inside the grid: the crop to the
-    summed reach drops nothing measurable."""
+    """Steps compose in closed form: ``then`` sums the means and covariances
+    exactly, and one prediction through the composed transition moves a blob's
+    mean as far as predicting step by step does."""
     spec = GridSpec((0.0, 0.0), 0.2, (120, 120))
     ws = TransitionWorkspace(spec)
     x, y = spec.axes()
     blob = np.exp(-0.5 * np.add.outer((x - 11.0) ** 2, (y - 12.5) ** 2) / 0.6 ** 2)
     field = LikelihoodField(spec, blob.ravel())
-    # Mostly one heading, so the composed mass travels far from the centre
-    # and a crop much tighter than the summed reach would cut into it.
     motions = [MotionInput(2.0, 0.3, dt=0.2),
                MotionInput(None, None, sigma_rw=1.0, dt=0.1),
                MotionInput(3.0, 0.5, sigma_speed=0.3, sigma_heading=0.4, dt=0.4),
-               MotionInput(2.5, None, dt=0.15)]
-    sequential, pending = field, None
+               MotionInput(2.5, -1.0, dt=0.15)]
+    steps = [Transition.step(m) for m in motions]
+    composed = steps[0]
+    for step in steps[1:]:
+        composed = composed.then(step)
+    assert np.array_equal(composed.mean, ((steps[0].mean + steps[1].mean)
+                                          + steps[2].mean) + steps[3].mean)
+    assert np.array_equal(composed.cov, ((steps[0].cov + steps[1].cov)
+                                         + steps[2].cov) + steps[3].cov)
+
+    sequential = field
     for motion in motions:
         sequential = predict(sequential, motion, ws)
-        pending = ws.compose(pending, motion)
-    composed = predict(field, pending, ws)
+    once = predict(field, composed, ws)
 
-    radius = (pending.kernel.shape[0] - 1) // 2
-    assert pending.reach == pytest.approx(sum(ws.reach(m) for m in motions))
-    assert radius == ws.radius_cells(pending.reach)
-    assert radius < sum(ws.radius_cells(ws.reach(m)) for m in motions)
-    peak = sequential.mass.max()
-    assert np.max(np.abs(composed.mass - sequential.mass)) <= 1e-12 * peak
+    def centroid(f):
+        return f.mass @ spec.positions()
+
+    moved = centroid(field) + composed.mean
+    assert np.max(np.abs(centroid(once) - moved)) <= 0.05 * spec.cell_size
+    assert np.max(np.abs(centroid(sequential) - moved)) <= 0.05 * spec.cell_size
+
+
+def test_transition_moments_that_overflow_give_a_zero_kernel():
+    """A speed whose moments overflow, or a mean beyond 6 sigma of every cell
+    of the window, builds a zero kernel without a warning; so does a ring
+    whose squared residual overflows, and predicting through either
+    collapses."""
+    field = init_uniform(SPEC)
+    for speed in (1e200, 1e155, 1000.0):
+        step = Transition.step(MotionInput(speed, 0.3, dt=0.1))
+        assert not np.any(WS.transition_kernel(step))
+        assert not np.any(WS.transition_kernel(step.then(step)))
+        for motion in (step, MotionInput(speed, None, dt=0.1)):
+            with pytest.raises(DegenerateFieldError):
+                predict(field, motion, WS)
 
 
 def test_dropped_workspace_is_collected():
-    """The displacement cache must not keep workspaces (or their grids) alive."""
+    """Building kernels must not keep workspaces (or their grids) alive."""
     ws = TransitionWorkspace(GridSpec((0.0, 0.0), 0.5, (30, 30)))
-    ws.transition_kernel(MotionInput(2.0, 0.3))
-    ws.transition_kernel(MotionInput(None, None))
+    ws.transition_kernel(Transition.step(MotionInput(2.0, 0.3)))
+    ws.transition_kernel(Transition.step(MotionInput(None, None)))
     ref = weakref.ref(ws)
     del ws
     gc.collect()
