@@ -162,17 +162,14 @@ class FusionEngine:
         payload = obs.payload
         if isinstance(payload, Range):
             anchor = self.anchors[payload.anchor_id]
-            return update_range(self.field, payload, anchor,
-                                cfg.range_model, cfg.combine_mode)
+            return update_range(self.field, payload, anchor, cfg.range_model)
         if isinstance(payload, RangeDifference):
             ref_a = self.anchors[payload.ref_a_id]
             ref_b = self.anchors[payload.ref_b_id]
-            return update_tdoa(self.field, payload, ref_a, ref_b,
-                               cfg.tdoa_model, cfg.combine_mode)
+            return update_tdoa(self.field, payload, ref_a, ref_b, cfg.tdoa_model)
         if isinstance(payload, Angle):
             anchor = self.anchors[payload.anchor_id]
-            return update_aoa(self.field, payload, anchor,
-                              cfg.aoa_model, cfg.combine_mode)
+            return update_aoa(self.field, payload, anchor, cfg.aoa_model)
         if isinstance(payload, GnssPseudoranges):
             return update_gnss_bssd(self.field, payload,
                                     cfg.bssd_routing, cfg.combine_mode)

@@ -224,19 +224,21 @@ _FILTER_KEYS = ("schema", "grid", "anchors", "bssd_gmm", *_FILTER_SCALARS,
 
 def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
                           anchors) -> dict:
-    routing = (cfg.bssd_routing.los_los, cfg.bssd_routing.nlos_los,
-               cfg.bssd_routing.los_nlos)
+    routing = vars(cfg.bssd_routing)
+    for name, m in routing.items():
+        if type(m) is not GaussianModel:
+            raise TypeError(f"{FILTER_SCHEMA} stores the BSSD routing as a Gaussian "
+                            f"mixture; its {name} is a {type(m).__name__}")
     return {
         "schema": FILTER_SCHEMA,
         "grid": grid_to_json(grid),
         "anchors": [_anchor_to_json(a) for a in anchors],
         **{k: getattr(cfg, k) for k in _FILTER_SCALARS},
         **{k: model_to_json(getattr(cfg, k)) for k in _FILTER_MODELS},
-        # routing keeps single Gaussians; weights are irrelevant to case
-        # selection, so nominal values are stored
+        # weights are irrelevant to case selection; nominal values are stored
         "bssd_gmm": model_to_json(GmmModel(
-            (0.34, 0.33, 0.33), tuple(m.mean for m in routing),
-            tuple(m.std ** 2 for m in routing))),
+            (0.34, 0.33, 0.33), tuple(m.mean for m in routing.values()),
+            tuple(m.std ** 2 for m in routing.values()))),
     }
 
 

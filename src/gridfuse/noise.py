@@ -21,6 +21,11 @@ import numpy as np
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+EM_MAX_ITER = 500
+EM_TOL = 1e-6
+EM_MAX_RESTARTS = 5
+EM_VAR_FLOOR = 1e-12
+
 
 class CalibrationFailureError(RuntimeError):
     """Raised when EM cannot produce a non-degenerate mixture fit."""
@@ -204,14 +209,14 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.asarray(means)
 
 
-def _em_once(x, k, rng, max_iter, tol, var_floor):
+def _em_once(x, k, rng):
     n = len(x)
     means = _kmeanspp_means(x, k, rng)
-    variances = np.full(k, max(np.var(x), var_floor))
+    variances = np.full(k, max(np.var(x), EM_VAR_FLOOR))
     weights = np.full(k, 1.0 / k)
     log_likelihoods = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         # E step in log domain
         log_comp = (np.log(weights)[None, :]
                     - 0.5 * np.log(2.0 * np.pi * variances)[None, :]
@@ -227,9 +232,9 @@ def _em_once(x, k, rng, max_iter, tol, var_floor):
         weights = nk / n
         means = (resp * x[:, None]).sum(axis=0) / nk
         variances = (resp * (x[:, None] - means[None, :]) ** 2).sum(axis=0) / nk
-        if np.any(variances < var_floor):
+        if np.any(variances < EM_VAR_FLOOR):
             return None, log_likelihoods
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
     weights = weights / weights.sum()
@@ -237,23 +242,22 @@ def _em_once(x, k, rng, max_iter, tol, var_floor):
     return model, log_likelihoods
 
 
-def fit_gmm(residuals, n_components: int, seed: int = 0, max_iter: int = 500,
-            tol: float = 1e-6, max_restarts: int = 5, var_floor: float = 1e-12,
+def fit_gmm(residuals, n_components: int, seed: int = 0,
             return_log_likelihoods: bool = False):
     """EM fit of a Gaussian mixture to scalar residuals.
 
     Restarts with a fresh seed on degenerate clusters (collapsing variance or
-    empty components); after ``max_restarts`` failures raises
+    empty components); after ``EM_MAX_RESTARTS`` failures raises
     CalibrationFailureError.
     """
     x = np.asarray(residuals, dtype=float).ravel()
     if len(x) < 10 * n_components:
         raise ValueError(
             f"need at least {10 * n_components} residuals for C={n_components}, got {len(x)}")
-    for restart in range(max_restarts):
+    for restart in range(EM_MAX_RESTARTS):
         rng = np.random.default_rng(seed + restart)
-        model, lls = _em_once(x, n_components, rng, max_iter, tol, var_floor)
+        model, lls = _em_once(x, n_components, rng)
         if model is not None:
             return (model, lls) if return_log_likelihoods else model
     raise CalibrationFailureError(
-        f"EM failed after {max_restarts} restarts (degenerate clusters)")
+        f"EM failed after {EM_MAX_RESTARTS} restarts (degenerate clusters)")

@@ -1,4 +1,6 @@
-"""Measurement update: observation likelihood sampling and fusion with the prior."""
+"""Measurement update: every observation weighs the prior by its normalised
+likelihood; a GNSS epoch's mode only picks how its BSSD pairs form that one.
+A value so huge that a distance or innovation overflows gets density 0."""
 
 from __future__ import annotations
 
@@ -32,6 +34,11 @@ class BssdRouting:
     nlos_los: object
     los_nlos: object
 
+    def __post_init__(self):
+        for name, model in vars(self).items():
+            if not hasattr(model, "pdf"):
+                raise TypeError(f"routing {name} must be a density model, got {model!r}")
+
     @classmethod
     def from_gmm(cls, gmm: GmmModel) -> "BssdRouting":
         if gmm.n_components < 3:
@@ -61,12 +68,14 @@ def _innovation_pdf(value: float, gamma: np.ndarray, model) -> np.ndarray:
 
 def likelihood_range(grid: GridSpec, obs: Range, anchor: ReferencePoint,
                      model) -> np.ndarray:
-    return _innovation_pdf(obs.value, gamma_distance(anchor, grid), model)
+    with np.errstate(over="ignore"):
+        return _innovation_pdf(obs.value, gamma_distance(anchor, grid), model)
 
 
 def likelihood_tdoa(grid: GridSpec, obs: RangeDifference, ref_a: ReferencePoint,
                     ref_b: ReferencePoint, model) -> np.ndarray:
-    return _innovation_pdf(obs.value, gamma_hyperbolic(ref_a, ref_b, grid), model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _innovation_pdf(obs.value, gamma_hyperbolic(ref_a, ref_b, grid), model)
 
 
 def likelihood_aoa(grid: GridSpec, obs: Angle, anchor: ReferencePoint,
@@ -93,77 +102,63 @@ def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
     (minuend, subtrahend) ids of the pairs used.
     """
     sats = obs.satellites
-    dists = {}
-    for s in sats:
-        ref = ReferencePoint(s.sat_id, s.position)
-        dists[s.sat_id] = gamma_distance(ref, grid)
     like = np.empty(grid.num_cells)
     used = []
-    for a in sats:
-        for b in sats:
-            if a.sat_id == b.sat_id:
-                continue
-            model = routing.select(a.visibility, b.visibility)
-            if model is None:
-                continue
-            np.subtract(dists[a.sat_id], dists[b.sat_id], out=like)
-            fold(acc, _innovation_pdf(a.pseudorange - b.pseudorange, like, model),
-                 out=acc)
-            used.append((a.sat_id, b.sat_id))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), grid)
+                 for s in sats}
+        for a in sats:
+            for b in sats:
+                if a.sat_id == b.sat_id:
+                    continue
+                model = routing.select(a.visibility, b.visibility)
+                if model is None:
+                    continue
+                np.subtract(dists[a.sat_id], dists[b.sat_id], out=like)
+                fold(acc, _innovation_pdf(a.pseudorange - b.pseudorange, like, model),
+                     out=acc)
+                used.append((a.sat_id, b.sat_id))
     return used
 
 
-def _posterior(prior: LikelihoodField, post: np.ndarray, mode: str) -> LikelihoodField:
-    """Finish a fold in place: in sum mode normalise the summed likelihood and
-    weigh it by the prior (product mode started from the prior), then floor."""
-    if mode == SUM:
-        s = post.sum()
-        if s <= 0 or not np.isfinite(s):
-            raise DegenerateFieldError("summed observation likelihood carries no mass")
-        post /= s
-        post *= prior.mass
-    s = post.sum()
+def _posterior(prior: LikelihoodField, like: np.ndarray) -> LikelihoodField:
+    """Bayes' rule in ``like`` itself: normalise the likelihood, weigh it by
+    the prior and floor it."""
+    s = like.sum()
+    if s <= 0 or not np.isfinite(s):
+        raise DegenerateFieldError("observation likelihood carries no mass")
+    like /= s
+    like *= prior.mass
+    s = like.sum()
     if s <= 0 or not np.isfinite(s):
         raise DegenerateFieldError("posterior mass collapsed in the update")
-    return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR, out=post))
-
-
-def _fuse(prior: LikelihoodField, like: np.ndarray, mode: str) -> LikelihoodField:
-    """Fuse one likelihood array into the prior, in ``like`` itself: in sum
-    mode it is its own sum (0.0 + x is x exactly), in product mode the prior
-    is multiplied into it."""
-    check_mode(mode)
-    if mode == PRODUCT:
-        like *= prior.mass
-    return _posterior(prior, like, mode)
+    return LikelihoodField(prior.spec, np.maximum(like, MASS_FLOOR, out=like))
 
 
 def update_range(prior: LikelihoodField, obs: Range, anchor: ReferencePoint,
-                 model, mode: str = SUM) -> LikelihoodField:
-    return _fuse(prior, likelihood_range(prior.spec, obs, anchor, model), mode)
+                 model) -> LikelihoodField:
+    return _posterior(prior, likelihood_range(prior.spec, obs, anchor, model))
 
 
 def update_tdoa(prior: LikelihoodField, obs: RangeDifference,
-                ref_a: ReferencePoint, ref_b: ReferencePoint, model,
-                mode: str = SUM) -> LikelihoodField:
-    return _fuse(prior, likelihood_tdoa(prior.spec, obs, ref_a, ref_b, model), mode)
+                ref_a: ReferencePoint, ref_b: ReferencePoint, model) -> LikelihoodField:
+    return _posterior(prior, likelihood_tdoa(prior.spec, obs, ref_a, ref_b, model))
 
 
 def update_aoa(prior: LikelihoodField, obs: Angle, anchor: ReferencePoint,
-               model, mode: str = SUM) -> LikelihoodField:
-    return _fuse(prior, likelihood_aoa(prior.spec, obs, anchor, model), mode)
+               model) -> LikelihoodField:
+    return _posterior(prior, likelihood_aoa(prior.spec, obs, anchor, model))
 
 
 def update_gnss_bssd(prior: LikelihoodField, obs: GnssPseudoranges,
                      routing: BssdRouting, mode: str = SUM) -> LikelihoodField:
-    """Fold every usable pair into one accumulator: zeros to add them into
-    (sum; 0.0 + x is x exactly), or a copy of the prior to multiply them into."""
+    """Weigh the prior by the epoch's likelihood: its usable pairs added into
+    zeros (``sum``, the paper's summed pairs; 0.0 + x is x exactly) or
+    multiplied into ones (``product``, their joint density)."""
     check_mode(mode)
-    if mode == SUM:
-        post, fold = np.zeros(prior.mass.shape), np.add
-    else:
-        post, fold = prior.mass.copy(), np.multiply
-    used = bssd_pair_likelihoods(prior.spec, obs, routing, post, fold)
+    start, fold = (np.zeros, np.add) if mode == SUM else (np.ones, np.multiply)
+    like = start(prior.mass.shape)
+    used = bssd_pair_likelihoods(prior.spec, obs, routing, like, fold)
     n = len(obs.satellites)
     log.debug("GNSS epoch with %d satellite(s): %d BSSD pair(s) used, %d dropped",
               n, len(used), n * (n - 1) - len(used))
@@ -171,4 +166,4 @@ def update_gnss_bssd(prior: LikelihoodField, obs: GnssPseudoranges,
         log.warning("GNSS epoch with %d satellite(s): no usable BSSD pair; "
                     "prior unchanged", n)
         return prior
-    return _posterior(prior, post, mode)
+    return _posterior(prior, like)

@@ -7,17 +7,15 @@ from gridfuse.update import SUM
 
 
 def reference_combine(prior, arrays, mode=SUM):
-    """Fuse ``arrays`` with the prior: sum them in list order, normalise and
-    weigh by the prior (sum), or multiply them into the prior (product). The
-    arrays are left untouched."""
-    if mode == SUM:
-        post = arrays[0].copy()
-        for arr in arrays[1:]:
+    """Fuse ``arrays`` with the prior: sum them (sum) or multiply them
+    (product) in list order, normalise and weigh by the prior. The arrays are
+    left untouched."""
+    post = arrays[0].copy()
+    for arr in arrays[1:]:
+        if mode == SUM:
             post += arr
-        post /= post.sum()
-        post *= prior.mass
-    else:
-        post = prior.mass * arrays[0]
-        for arr in arrays[1:]:
+        else:
             post *= arr
+    post /= post.sum()
+    post *= prior.mass
     return LikelihoodField(prior.spec, np.maximum(post, MASS_FLOOR))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
 from gridfuse.prediction import MotionInput, Transition, TransitionWorkspace, predict
-from gridfuse.update import PRODUCT, update_range
+from gridfuse.update import PRODUCT, SUM, BssdRouting, update_range
 
 from fusion_reference import reference_combine
 
@@ -94,6 +95,16 @@ def test_invalid_config_raises_at_construction(name):
         FusionEngine(SPEC, ANCHORS, FilterConfig(**BAD_CONFIGS[name]))
 
 
+@pytest.mark.parametrize("member", ["los_los", "nlos_los", "los_nlos"])
+def test_routing_member_without_pdf_raises(member):
+    """A routing member that is no density model is refused when the routing
+    is built, not by the first GNSS epoch."""
+    models = dict(los_los=GaussianModel(0.0, 1.0), nlos_los=GaussianModel(13.0, 4.5),
+                  los_nlos=GaussianModel(-13.0, 4.5))
+    with pytest.raises(TypeError, match=member):
+        BssdRouting(**{**models, member: 3})
+
+
 @pytest.mark.parametrize("radius", [None, math.inf, SPEC.cell_size])
 def test_valid_estimate_radius_accepted(radius):
     FusionEngine(SPEC, ANCHORS, FilterConfig(estimate_radius=radius))
@@ -140,6 +151,32 @@ def test_same_timestamp_batch_matches_joint_product_update():
                                GaussianModel(0.0, 1.0)) for a in ANCHORS]
     joint = reference_combine(init_uniform(SPEC), arrays, PRODUCT)
     assert np.max(np.abs(eng.field.mass - joint.mass)) < 1e-9
+
+
+def test_terrestrial_stream_is_the_same_in_both_modes():
+    """``combine_mode`` only picks how a GNSS epoch combines its pairs: a
+    range, TDoA, AoA and odometry stream gives the same bits in both modes."""
+    rng = np.random.default_rng(5)
+
+    def dist(a):
+        return float(np.linalg.norm(np.asarray(a.position) - TRUTH))
+
+    events = []
+    for k in range(20):
+        t = 0.25 * (k + 1)
+        a, b = ANCHORS[k % 3], ANCHORS[(k + 1) % 3]
+        bearing = math.atan2(a.position[1] - TRUTH[1], a.position[0] - TRUTH[0])
+        events += [Observation(t, Range(a.id, dist(a) + rng.normal(0.0, 0.3))),
+                   Observation(t + 0.05, RangeDifference(
+                       a.id, b.id, dist(a) - dist(b) + rng.normal(0.0, 0.3))),
+                   Observation(t + 0.1, Odometry(0.3, rng.uniform(-math.pi, math.pi))),
+                   Observation(t + 0.15, Angle(a.id, bearing + rng.normal(0.0, 0.1)))]
+    runs = {}
+    for mode in (SUM, PRODUCT):
+        eng = FusionEngine(SPEC, ANCHORS, FilterConfig(combine_mode=mode))
+        runs[mode] = eng.run(events), eng.field.mass
+    assert runs[SUM][0] == runs[PRODUCT][0]
+    assert np.array_equal(runs[SUM][1], runs[PRODUCT][1])
 
 
 def test_tie_break_order_gnss_before_terrestrial_before_odometry():
@@ -297,6 +334,47 @@ def test_collapse_applying_pending_kernel_reinitializes():
         eng.run([Observation(0.6, Odometry(speed, heading))])
         assert eng.reinit_count == 2
         assert np.array_equal(eng.field.mass, init_uniform(SPEC).mass)
+
+
+def _far_satellites(obs, n):
+    """The GNSS event ``obs`` with its first ``n`` satellites moved to
+    x = 1e200 m and beyond, whose squared distances overflow."""
+    sats = tuple(replace(s, position=(1e200 * (k + 1), 0.0, 2e7)) if k < n else s
+                 for k, s in enumerate(obs.payload.satellites))
+    return Observation(obs.timestamp, GnssPseudoranges(sats))
+
+
+# Admitted events with huge finite values: a maker taking the timestamp, and
+# the reinit count in sum and in product mode. An overflowing square is
+# +inf, whose density is 0; in sum mode the other satellites' pairs keep
+# their mass, and two infinite distances give NaN, which collapses.
+HUGE_EVENTS = {
+    "range_huge": (lambda t: Observation(t, Range("A1", 1e300)), (1, 1)),
+    "range_huge_negative": (lambda t: Observation(t, Range("A2", -1e300)), (1, 1)),
+    "tdoa_huge": (lambda t: Observation(t, RangeDifference("A1", "A2", 1e300)), (1, 1)),
+    "pseudorange_huge": (lambda t: _with_satellite(gnss_obs(t), pseudorange=1e300),
+                         (0, 1)),
+    "satellite_far": (lambda t: _far_satellites(gnss_obs(t), 1), (0, 1)),
+    "two_satellites_far": (lambda t: _far_satellites(gnss_obs(t), 2), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("mode", [SUM, PRODUCT])
+@pytest.mark.parametrize("kind", sorted(HUGE_EVENTS))
+def test_huge_finite_values_collapse_without_warning(kind, mode):
+    """Each event either keeps a usable posterior or collapses and
+    reinitialises, counted; none raises a numpy warning, and the field stays
+    finite and normalised."""
+    make, reinits = HUGE_EVENTS[kind]
+    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(combine_mode=mode,
+                                                   recenter_enabled=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ests = eng.run([range_obs(0.5, ANCHORS[0]), make(1.0)])
+    assert len(ests) == 2 and not eng.rejected
+    assert eng.reinit_count == reinits[mode == PRODUCT]
+    assert np.all(np.isfinite(eng.field.mass))
+    assert abs(eng.field.mass.sum() - 1.0) < 1e-12
 
 
 def test_run_ending_in_odometry_predicts_to_last_timestamp():

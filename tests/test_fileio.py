@@ -221,6 +221,17 @@ def test_filter_config_required_keys_only_takes_defaults():
             filter_config_from_json({k: doc[k] for k in required if k != name})
 
 
+def test_filter_config_json_rejects_non_gaussian_routing():
+    """filter-v1 stores the routing as a 3-component GMM, so a member that is
+    not one Gaussian is named, as ``model_to_json`` names an unknown model."""
+    from gridfuse.update import BssdRouting
+    routing = BssdRouting(GaussianModel(0.25, 3.6), DEFAULT_UWB_MODEL,
+                          GaussianModel(-12.61, 4.6))
+    with pytest.raises(TypeError, match="nlos_los is a MixtureLikelihoodModel"):
+        filter_config_to_json(FilterConfig(bssd_routing=routing),
+                              GridSpec((0, 0), 0.5, (10, 10)), ())
+
+
 @pytest.mark.parametrize("section", [None, "grid", "range_model", "anchors"])
 def test_filter_config_rejects_unknown_keys(section):
     doc = filter_config_to_json(FilterConfig(), GridSpec((0, 0), 0.5, (10, 10)),

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gridfuse.engine import FilterConfig, FusionEngine
 from gridfuse.geometry import ReferencePoint, gamma_distance, wrap_angle
-from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
+from gridfuse.grid import (MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField,
+                           init_uniform)
 from gridfuse.noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
-from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Range,
-                                   RangeDifference, SatelliteObservation)
+from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Observation,
+                                   Range, RangeDifference, SatelliteObservation)
 from gridfuse.update import (PRODUCT, SUM, BssdRouting, _innovation_pdf,
                              bssd_pair_likelihoods, likelihood_aoa, likelihood_range,
                              likelihood_tdoa, update_aoa, update_gnss_bssd, update_range,
@@ -330,7 +332,8 @@ def reference_bssd_update(prior, obs, routing, mode=SUM):
 @pytest.mark.parametrize("mode", [SUM, PRODUCT])
 def test_combine_matches_written_out_fold(mode):
     """Range, TDoA and AoA fuse their likelihood in the array that sampled
-    it, with the bits of the written-out fold; the AoA anchor sits over a
+    it, with the bits of the written-out fold under either rule: one
+    likelihood sums and multiplies to itself. The AoA anchor sits over a
     cell."""
     rng = np.random.default_rng(6)
     spec = GridSpec((0, 0), 1.0, (9, 7))
@@ -339,11 +342,11 @@ def test_combine_matches_written_out_fold(mode):
     b = ReferencePoint("b", (7.5, 1.2, 2.0))
     m = UWB_MODEL
     cases = [
-        (update_range(prior, Range("a", 3.7), a, m, mode),
+        (update_range(prior, Range("a", 3.7), a, m),
          likelihood_range(spec, Range("a", 3.7), a, m)),
-        (update_tdoa(prior, RangeDifference("a", "b", -1.3), a, b, m, mode),
+        (update_tdoa(prior, RangeDifference("a", "b", -1.3), a, b, m),
          likelihood_tdoa(spec, RangeDifference("a", "b", -1.3), a, b, m)),
-        (update_aoa(prior, Angle("a", 0.4), a, GaussianModel(0.0, 0.3), mode),
+        (update_aoa(prior, Angle("a", 0.4), a, GaussianModel(0.0, 0.3)),
          likelihood_aoa(spec, Angle("a", 0.4), a, GaussianModel(0.0, 0.3))),
     ]
     for post, like in cases:
@@ -362,9 +365,6 @@ def test_innovation_pdf_distance_example():
 @pytest.mark.parametrize("mode", ["prod", None])
 def test_update_unknown_mode_raises(mode):
     spec = GridSpec((0, 0), 1.0, (5, 5))
-    anchor = ReferencePoint("a", (2.0, 2.0, 1.0))
-    with pytest.raises(ValueError, match="unknown combination mode"):
-        update_range(init_uniform(spec), Range("a", 1.0), anchor, UWB_MODEL, mode)
     epoch = GnssPseudoranges((_sat("G0", SAT_POSITIONS[0], 2e7),))
     with pytest.raises(ValueError, match="unknown combination mode"):
         update_gnss_bssd(init_uniform(spec), epoch, tight_routing(), mode)
@@ -409,7 +409,7 @@ def test_bssd_skips_nlos_pairs_in_mixed_epoch(caplog):
 ], ids=["6_sats", "8_sats", "8_los"])
 def test_bssd_update_matches_per_pair_reference(vis, mode):
     """Folding pairs into one accumulator gives the bits of per-pair arrays
-    fused by the reference fold, in both fusion rules."""
+    fused by the reference fold, in both pair rules."""
     rng = np.random.default_rng(len(vis) + vis.count(NLOS))
     spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (23, 19), plane_height=1.5)
     prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
@@ -419,6 +419,45 @@ def test_bssd_update_matches_per_pair_reference(vis, mode):
     expected, _ = reference_bssd_update(prior, epoch, routing, mode)
     assert np.array_equal(update_gnss_bssd(prior, epoch, routing, mode).mass,
                           expected.mass)
+
+
+def test_product_epoch_matches_prior_first_product():
+    """A product epoch weighs the prior by its normalised pair product. On
+    mixed LOS/NLOS epochs that is the prior-first product prior * p1 * p2 ...,
+    floored and normalised, to within 1e-12 relative on every cell above 1e-12
+    of the peak; an epoch whose product underflows collapses in both."""
+    rng = np.random.default_rng(17)
+    spec = GridSpec((-20.0, -15.0), 0.7, (23, 19), plane_height=1.5)
+    routing = BssdRouting(GaussianModel(0.25, 3.6), GaussianModel(13.09, 4.5),
+                          GaussianModel(-12.61, 4.6))
+    collapsed = []
+    for k in range(12):
+        prior = LikelihoodField(spec, rng.random(spec.num_cells) + 1e-3)
+        vis = [LOS if v else NLOS for v in rng.random(7) < 0.6]
+        epoch = _random_epoch(rng, spec, vis, nlos_bias=600.0 if k % 4 == 3 else 13.0)
+        dist = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), spec)
+                for s in epoch.satellites}
+        oracle = prior.mass.copy()
+        for a in epoch.satellites:
+            for b in epoch.satellites:
+                model = routing.select(a.visibility, b.visibility)
+                if a.sat_id != b.sat_id and model is not None:
+                    y = (a.pseudorange - b.pseudorange) - (dist[a.sat_id] - dist[b.sat_id])
+                    oracle *= model.pdf(y)
+        oracle_collapsed = not oracle.sum() > 0
+        try:
+            post = update_gnss_bssd(prior, epoch, routing, PRODUCT).mass
+        except DegenerateFieldError:
+            post = None
+        assert (post is None) == oracle_collapsed, k
+        if post is None:
+            collapsed.append(k)
+            continue
+        oracle = np.maximum(oracle, MASS_FLOOR)
+        oracle /= oracle.sum()
+        big = oracle >= 1e-12 * oracle.max()
+        assert np.max(np.abs(post[big] - oracle[big]) / oracle[big]) <= 1e-12, k
+    assert collapsed == [3, 7, 11]
 
 
 def test_bssd_samples_every_pair_through_module_density(monkeypatch):
@@ -460,15 +499,20 @@ def test_bssd_update_peak_memory(mode):
 
 @pytest.mark.parametrize("mode", [SUM, PRODUCT])
 def test_range_update_peak_memory(mode):
-    """A range update samples and fuses in one grid array: with the mixture
-    model's scratch and the posterior's normalised copy it peaks well below
-    the three arrays that a separate fusion buffer would add up to."""
+    """The engine's range update samples and fuses in one grid array, whatever
+    its combine mode: with the mixture model's scratch and the posterior's
+    normalised copy it peaks well below the three arrays that a separate
+    fusion buffer would add up to."""
     spec = GridSpec((-15.0, -15.0), 0.2, (150, 150))
     prior = LikelihoodField(spec, np.random.default_rng(3).random(spec.num_cells) + 0.01)
     anchor = ReferencePoint("a", (2.0, -4.0, 2.5))
+    engine = FusionEngine(spec, [anchor],
+                          FilterConfig(range_model=UWB_MODEL, combine_mode=mode))
+    engine.field = prior
+    obs = Observation(0.0, Range("a", 9.0))
     tracemalloc.start()
     try:
-        update_range(prior, Range("a", 9.0), anchor, UWB_MODEL, mode)
+        engine._update(obs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -480,17 +524,6 @@ def test_bssd_single_satellite_no_update():
     prior = init_uniform(spec)
     epoch = GnssPseudoranges((_sat("G0", SAT_POSITIONS[0], 2e7),))
     assert update_gnss_bssd(prior, epoch, tight_routing()) is prior
-
-
-def test_combine_single_observation_modes_agree():
-    """With one likelihood the two fusion rules agree, up to rounding."""
-    spec = GridSpec((0, 0), 1.0, (10, 10))
-    rng = np.random.default_rng(4)
-    prior = LikelihoodField(spec, rng.random(100) + 0.01)
-    anchor = ReferencePoint("a", (3.3, 6.1, 1.0))
-    s = update_range(prior, Range("a", 4.2), anchor, UWB_MODEL, SUM)
-    p = update_range(prior, Range("a", 4.2), anchor, UWB_MODEL, PRODUCT)
-    assert np.allclose(s.mass, p.mass, atol=1e-12)
 
 
 def test_combine_duplicate_observation_product_sharper():
@@ -526,13 +559,11 @@ def test_combine_empty_returns_prior():
 
 
 def test_combine_all_zero_product_degenerate():
-    """A likelihood that is zero on every cell leaves no posterior mass, in
-    either rule."""
+    """A likelihood that is zero on every cell leaves no posterior mass."""
     prior = init_uniform(GridSpec((0, 0), 1.0, (5, 5)))
     anchor = ReferencePoint("a", (2.0, 2.0, 0.0))
-    for mode in (SUM, PRODUCT):
-        with pytest.raises(DegenerateFieldError):
-            update_range(prior, Range("a", 50.0), anchor, UniformModel(-1.0, 1.0), mode)
+    with pytest.raises(DegenerateFieldError):
+        update_range(prior, Range("a", 50.0), anchor, UniformModel(-1.0, 1.0))
 
 
 def test_posterior_normalization():
