@@ -13,12 +13,12 @@ from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range
 from .prediction import MotionInput, TransitionWorkspace, predict
 from .simulator import (GroundTruth, Scenario, generate, make_dynamic_scenario,
                         make_static_scenario)
-from .update import BssdRouting, update_aoa, update_gnss_bssd, update_range, update_tdoa
+from .update import update_aoa, update_gnss_bssd, update_range, update_tdoa
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle", "BssdRouting", "CalibrationFailureError", "DegenerateFieldError",
+    "Angle", "CalibrationFailureError", "DegenerateFieldError",
     "ErrorSeries", "Estimate", "FilterConfig", "FusionEngine", "GaussianModel",
     "GmmModel", "StatsSummary",
     "GnssPseudoranges", "GridSpec", "GroundTruth", "LikelihoodField", "ecdf",

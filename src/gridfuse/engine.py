@@ -16,7 +16,7 @@ from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
                            RangeDifference)
 from .prediction import MotionInput, Transition, TransitionWorkspace, predict
-from .update import (SUM, BssdRouting, check_mode, update_aoa, update_gnss_bssd,
+from .update import (SUM, bssd_routes, check_mode, update_aoa, update_gnss_bssd,
                      update_range, update_tdoa)
 
 log = logging.getLogger(__name__)
@@ -50,8 +50,7 @@ class FilterConfig:
     range_model: object = dc_field(default_factory=lambda: DEFAULT_UWB_MODEL)
     tdoa_model: object = dc_field(default_factory=lambda: DEFAULT_UWB_MODEL)
     aoa_model: object = dc_field(default_factory=lambda: GaussianModel(0.0, 0.1))
-    bssd_routing: BssdRouting = dc_field(
-        default_factory=lambda: BssdRouting.from_gmm(DEFAULT_BSSD_GMM))
+    bssd_gmm: GmmModel = DEFAULT_BSSD_GMM
     max_gap: float = 10.0
     recenter_enabled: bool = True
 
@@ -71,8 +70,7 @@ def _check_config(cfg: FilterConfig, radius: float, cell_size: float) -> None:
     for name in ("range_model", "tdoa_model", "aoa_model"):
         if not hasattr(getattr(cfg, name), "pdf"):
             raise ValueError(f"{name} must be a density model, got {getattr(cfg, name)!r}")
-    if not isinstance(cfg.bssd_routing, BssdRouting):
-        raise ValueError(f"bssd_routing must be a BssdRouting, got {cfg.bssd_routing!r}")
+    bssd_routes(cfg.bssd_gmm)
     for name in ("sigma_speed", "sigma_heading", "sigma_rw"):
         value = getattr(cfg, name)
         if not (math.isfinite(value) and value > 0):
@@ -171,8 +169,7 @@ class FusionEngine:
             anchor = self.anchors[payload.anchor_id]
             return update_aoa(self.field, payload, anchor, cfg.aoa_model)
         if isinstance(payload, GnssPseudoranges):
-            return update_gnss_bssd(self.field, payload,
-                                    cfg.bssd_routing, cfg.combine_mode)
+            return update_gnss_bssd(self.field, payload, cfg.bssd_gmm, cfg.combine_mode)
         raise TypeError(f"unexpected payload {type(payload).__name__}")
 
     def _maybe_recenter(self, est: Estimate) -> None:

@@ -26,7 +26,7 @@ from .observations import (LOS, NLOS, Angle, GnssPseudoranges, Observation,
                            Odometry, Range, RangeDifference, SatelliteObservation)
 from .simulator import (GnssNoiseConfig, GroundTruth, OdometryNoiseConfig,
                         SatelliteSpec, Scenario, Trajectory, UwbNoiseConfig)
-from .update import BssdRouting
+from .update import bssd_routes
 
 SCENARIO_SCHEMA = "gridfuse-scenario-v1"
 FILTER_SCHEMA = "gridfuse-filter-v1"
@@ -217,40 +217,31 @@ def scenario_from_json(doc: dict) -> Scenario:
 
 _FILTER_SCALARS = ("combine_mode", "estimate_radius", "sigma_speed",
                    "sigma_heading", "sigma_rw", "max_gap", "recenter_enabled")
-_FILTER_MODELS = ("range_model", "tdoa_model", "aoa_model")
-_FILTER_KEYS = ("schema", "grid", "anchors", "bssd_gmm", *_FILTER_SCALARS,
-                *_FILTER_MODELS)
+_FILTER_MODELS = ("range_model", "tdoa_model", "aoa_model", "bssd_gmm")
+_FILTER_KEYS = ("schema", "grid", "anchors", *_FILTER_SCALARS, *_FILTER_MODELS)
 
 
 def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
                           anchors) -> dict:
-    routing = vars(cfg.bssd_routing)
-    for name, m in routing.items():
-        if type(m) is not GaussianModel:
-            raise TypeError(f"{FILTER_SCHEMA} stores the BSSD routing as a Gaussian "
-                            f"mixture; its {name} is a {type(m).__name__}")
     return {
         "schema": FILTER_SCHEMA,
         "grid": grid_to_json(grid),
         "anchors": [_anchor_to_json(a) for a in anchors],
         **{k: getattr(cfg, k) for k in _FILTER_SCALARS},
         **{k: model_to_json(getattr(cfg, k)) for k in _FILTER_MODELS},
-        # weights are irrelevant to case selection; nominal values are stored
-        "bssd_gmm": model_to_json(GmmModel(
-            (0.34, 0.33, 0.33), tuple(m.mean for m in routing.values()),
-            tuple(m.std ** 2 for m in routing.values()))),
     }
 
 
 def filter_config_from_json(doc: dict):
-    """Returns (FilterConfig, GridSpec, anchors); the models are required."""
+    """Returns (FilterConfig, GridSpec, anchors); the models are required, and
+    ``bssd_gmm`` must be a mixture that ``bssd_routes`` can route."""
     _check_schema(doc, FILTER_SCHEMA)
     _check_keys(doc, _FILTER_KEYS, "filter config")
     try:
         cfg = FilterConfig(
             **{k: doc[k] for k in _FILTER_SCALARS if k in doc},
-            **{k: model_from_json(doc[k]) for k in _FILTER_MODELS},
-            bssd_routing=BssdRouting.from_gmm(model_from_json(doc["bssd_gmm"])))
+            **{k: model_from_json(doc[k]) for k in _FILTER_MODELS})
+        bssd_routes(cfg.bssd_gmm)
         return cfg, grid_from_json(doc["grid"]), _anchors_from_json(doc["anchors"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad filter config: {exc}") from exc

@@ -242,8 +242,7 @@ def _em_once(x, k, rng):
     return model, log_likelihoods
 
 
-def fit_gmm(residuals, n_components: int, seed: int = 0,
-            return_log_likelihoods: bool = False):
+def fit_gmm(residuals, n_components: int, seed: int = 0) -> GmmModel:
     """EM fit of a Gaussian mixture to scalar residuals.
 
     Restarts with a fresh seed on degenerate clusters (collapsing variance or
@@ -256,8 +255,8 @@ def fit_gmm(residuals, n_components: int, seed: int = 0,
             f"need at least {10 * n_components} residuals for C={n_components}, got {len(x)}")
     for restart in range(EM_MAX_RESTARTS):
         rng = np.random.default_rng(seed + restart)
-        model, lls = _em_once(x, n_components, rng)
+        model, _ = _em_once(x, n_components, rng)
         if model is not None:
-            return (model, lls) if return_log_likelihoods else model
+            return model
     raise CalibrationFailureError(
         f"EM failed after {EM_MAX_RESTARTS} restarts (degenerate clusters)")

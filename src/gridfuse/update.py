@@ -1,18 +1,18 @@
 """Measurement update: every observation weighs the prior by its normalised
 likelihood; a GNSS epoch's mode only picks how its BSSD pairs form that one.
-A value so huge that a distance or innovation overflows gets density 0."""
+A value so huge that a distance or innovation overflows gets density 0, and a
+satellite whose distances overflow is left out of its epoch's pairs."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (ReferencePoint, gamma_angle, gamma_distance,
                        gamma_hyperbolic, wrap_angle)
 from .grid import MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField
-from .noise import GmmModel, density
+from .noise import GaussianModel, GmmModel, density
 from .observations import LOS, NLOS, Angle, GnssPseudoranges, Range, RangeDifference
 
 log = logging.getLogger(__name__)
@@ -21,38 +21,23 @@ SUM = "sum"
 PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class BssdRouting:
-    """Per-visibility-case density selection for differenced pseudoranges.
-
-    los_los applies when both satellites of a pair are LOS, nlos_los when the
-    minuend is NLOS (positive residual mean), los_nlos when the subtrahend is
-    NLOS (negative mean). Both-NLOS pairs are dropped.
-    """
-
-    los_los: object
-    nlos_los: object
-    los_nlos: object
-
-    def __post_init__(self):
-        for name, model in vars(self).items():
-            if not hasattr(model, "pdf"):
-                raise TypeError(f"routing {name} must be a density model, got {model!r}")
-
-    @classmethod
-    def from_gmm(cls, gmm: GmmModel) -> "BssdRouting":
-        if gmm.n_components < 3:
-            raise ValueError("routing needs at least 3 mixture components")
-        return cls(gmm.component(0), gmm.component(1), gmm.component(2))
-
-    def select(self, vis_a: str, vis_b: str):
-        if vis_a == LOS and vis_b == LOS:
-            return self.los_los
-        if vis_a == NLOS and vis_b == LOS:
-            return self.nlos_los
-        if vis_a == LOS and vis_b == NLOS:
-            return self.los_nlos
-        return None
+def bssd_routes(gmm: GmmModel) -> dict[tuple[str, str], GaussianModel]:
+    """The pair density per (minuend, subtrahend) visibility, picked from the
+    BSSD residual mixture by what each component models: LOS/LOS pairs take
+    the heaviest component; of the others, an NLOS minuend (positive bias)
+    takes the one with the largest mean and an NLOS subtrahend the one with
+    the smallest. Ties go to the lower index (``max`` and ``min`` return the
+    first of equal keys). Both-NLOS pairs have no entry. Anything but a
+    mixture of at least three components raises ``ValueError``."""
+    if not (isinstance(gmm, GmmModel) and gmm.n_components >= 3):
+        raise ValueError("bssd_gmm must be a GmmModel with at least 3 components "
+                         f"to route BSSD pairs, got {gmm!r}")
+    los = max(range(gmm.n_components), key=gmm.weights.__getitem__)
+    rest = [c for c in range(gmm.n_components) if c != los]
+    nlos_los = max(rest, key=gmm.means.__getitem__)
+    los_nlos = min(rest, key=gmm.means.__getitem__)
+    return {(LOS, LOS): gmm.component(los), (NLOS, LOS): gmm.component(nlos_los),
+            (LOS, NLOS): gmm.component(los_nlos)}
 
 
 def check_mode(mode: str) -> None:
@@ -92,26 +77,28 @@ def likelihood_aoa(grid: GridSpec, obs: Angle, anchor: ReferencePoint,
 
 
 def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
-                          routing: BssdRouting, acc: np.ndarray,
+                          routes: dict, acc: np.ndarray,
                           fold: np.ufunc) -> list[tuple[str, str]]:
     """Full-set differencing: fold the likelihood of every usable ordered pair
-    into ``acc`` in pair order, as ``fold(acc, likelihood, out=acc)``.
+    into ``acc`` in pair order, as ``fold(acc, likelihood, out=acc)``. A pair
+    is usable when ``routes`` (see ``bssd_routes``) has a density for its
+    visibilities and both satellites' distances are finite everywhere.
 
     Each satellite's distances are computed once, and every pair is sampled
     in one scratch buffer, so no per-pair array is kept. Returns the
     (minuend, subtrahend) ids of the pairs used.
     """
-    sats = obs.satellites
     like = np.empty(grid.num_cells)
     used = []
     with np.errstate(over="ignore", invalid="ignore"):
         dists = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), grid)
-                 for s in sats}
+                 for s in obs.satellites}
+        sats = [s for s in obs.satellites if dists[s.sat_id].max() < np.inf]
         for a in sats:
             for b in sats:
                 if a.sat_id == b.sat_id:
                     continue
-                model = routing.select(a.visibility, b.visibility)
+                model = routes.get((a.visibility, b.visibility))
                 if model is None:
                     continue
                 np.subtract(dists[a.sat_id], dists[b.sat_id], out=like)
@@ -151,14 +138,15 @@ def update_aoa(prior: LikelihoodField, obs: Angle, anchor: ReferencePoint,
 
 
 def update_gnss_bssd(prior: LikelihoodField, obs: GnssPseudoranges,
-                     routing: BssdRouting, mode: str = SUM) -> LikelihoodField:
-    """Weigh the prior by the epoch's likelihood: its usable pairs added into
-    zeros (``sum``, the paper's summed pairs; 0.0 + x is x exactly) or
-    multiplied into ones (``product``, their joint density)."""
+                     gmm: GmmModel, mode: str = SUM) -> LikelihoodField:
+    """Weigh the prior by the epoch's likelihood: its usable pairs, with
+    densities routed from the BSSD residual mixture ``gmm``, added into zeros
+    (``sum``, the paper's summed pairs; 0.0 + x is x exactly) or multiplied
+    into ones (``product``, their joint density)."""
     check_mode(mode)
     start, fold = (np.zeros, np.add) if mode == SUM else (np.ones, np.multiply)
     like = start(prior.mass.shape)
-    used = bssd_pair_likelihoods(prior.spec, obs, routing, like, fold)
+    used = bssd_pair_likelihoods(prior.spec, obs, bssd_routes(gmm), like, fold)
     n = len(obs.satellites)
     log.debug("GNSS epoch with %d satellite(s): %d BSSD pair(s) used, %d dropped",
               n, len(used), n * (n - 1) - len(used))

@@ -24,7 +24,7 @@ from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
 from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
 from gridfuse.simulator import (generate, make_dynamic_scenario,
                                 make_static_scenario)
-from gridfuse.update import (PRODUCT, BssdRouting, likelihood_range, update_aoa,
+from gridfuse.update import (PRODUCT, likelihood_range, update_aoa,
                              update_gnss_bssd, update_range, update_tdoa)
 
 from fusion_reference import reference_combine
@@ -64,8 +64,7 @@ def test_01_normalization_thousand_steps():
                for i in range(6)]
     sats = [(2e7, 0, 1.2e7), (-1.3e7, 1e7, 1.5e7), (0, -1.8e7, 1e7),
             (1e7, 1.6e7, 0.9e7)]
-    routing = BssdRouting(GaussianModel(0.0, 11.0), GaussianModel(13.0, 4.5),
-                          GaussianModel(-13.0, 4.5))
+    gmm = GmmModel((0.5, 0.25, 0.25), (0.0, 13.0, -13.0), (121.0, 20.25, 20.25))
     ws = TransitionWorkspace(spec)
     field = init_uniform(spec)
     worst = 0.0
@@ -91,7 +90,7 @@ def test_01_normalization_thousand_steps():
                                      float(np.linalg.norm(p))
                                      + rng.normal(0, 7.8), LOS)
                 for k, p in enumerate(sats)))
-            field = update_gnss_bssd(field, obs, routing)
+            field = update_gnss_bssd(field, obs, gmm)
         else:
             motion = MotionInput(rng.uniform(0.1, 3.0),
                                  rng.uniform(-np.pi, np.pi), dt=1.0)
@@ -182,11 +181,10 @@ def test_03_noiseless_convergence():
         SatelliteObservation(f"G{k}", p,
                              float(np.linalg.norm(np.asarray(p) - truth)), LOS)
         for k, p in enumerate(sats)))
-    routing = BssdRouting(GaussianModel(0.0, 0.05), GaussianModel(13.0, 4.5),
-                          GaussianModel(-13.0, 4.5))
+    gmm = GmmModel((0.5, 0.25, 0.25), (0.0, 13.0, -13.0), (0.0025, 20.25, 20.25))
     field = init_uniform(spec)
     for _ in range(3):
-        field = update_gnss_bssd(field, epoch, routing)
+        field = update_gnss_bssd(field, epoch, gmm)
     bssd_pos = spec.positions()[map_estimate(field)]
     bssd_err_cells = np.linalg.norm(bssd_pos - truth[:2]) / spec.cell_size
 

@@ -3,8 +3,9 @@ import pytest
 
 from gridfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from gridfuse.engine import FilterConfig
-from gridfuse.fileio import (dump_json, filter_config_to_json, read_estimates,
-                             read_gmm, scenario_to_json, write_residuals)
+from gridfuse.fileio import (OBS_HEADER, dump_json, filter_config_to_json,
+                             read_estimates, read_gmm, scenario_to_json,
+                             write_residuals)
 from gridfuse.noise import GmmModel, sample
 from gridfuse.simulator import make_static_scenario
 
@@ -44,6 +45,23 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["filter", "--config", str(bad), "--observations",
                  str(tmp_path / "obs.csv"), "--out", str(tmp_path)]) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bssd_gmm", [
+    {"type": "gaussian", "mean": 0.25, "std": 3.6},
+    {"type": "gmm", "weights": [0.5, 0.5], "means": [0.25, 13.09],
+     "variances": [13.06, 20.37]},
+], ids=["gaussian", "two_components"])
+def test_filter_with_unroutable_bssd_gmm_exits_2(tmp_path, capsys, bssd_gmm):
+    sc = make_static_scenario(n_epochs=2, cell_size=1.0)
+    doc = filter_config_to_json(FilterConfig(), sc.grid, sc.anchors)
+    doc["bssd_gmm"] = bssd_gmm
+    dump_json(doc, tmp_path / "filter.json")
+    (tmp_path / "obs.csv").write_text(",".join(OBS_HEADER) + "\n")
+    assert main(["filter", "--config", str(tmp_path / "filter.json"),
+                 "--observations", str(tmp_path / "obs.csv"),
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert "bssd_gmm" in capsys.readouterr().err
 
 
 def test_simulate_filter_evaluate_pipeline(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -9,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from gridfuse.engine import DEFAULT_BSSD_GMM, FilterConfig, FusionEngine, _tie_key
 from gridfuse.geometry import ReferencePoint
 from gridfuse.grid import GridSpec, init_uniform
-from gridfuse.noise import GaussianModel
-from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
+from gridfuse.noise import GaussianModel, GmmModel
+from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
 from gridfuse.prediction import MotionInput, Transition, TransitionWorkspace, predict
-from gridfuse.update import PRODUCT, SUM, BssdRouting, update_range
+from gridfuse.simulator import generate, make_dynamic_scenario
+from gridfuse.update import PRODUCT, SUM, update_range
 
 from fusion_reference import reference_combine
 
@@ -85,7 +87,9 @@ BAD_CONFIGS = {
     "range_model_int": dict(range_model=3),
     "tdoa_model_none": dict(tdoa_model=None),
     "aoa_model_str": dict(aoa_model="gauss"),
-    "bssd_routing_gmm": dict(bssd_routing=DEFAULT_BSSD_GMM),
+    "bssd_gmm_gaussian": dict(bssd_gmm=GaussianModel(0.25, 3.6)),
+    "bssd_gmm_two_components": dict(bssd_gmm=GmmModel((0.5, 0.5), (0.25, 13.09),
+                                                       (13.06, 20.37))),
 }
 
 
@@ -95,14 +99,25 @@ def test_invalid_config_raises_at_construction(name):
         FusionEngine(SPEC, ANCHORS, FilterConfig(**BAD_CONFIGS[name]))
 
 
-@pytest.mark.parametrize("member", ["los_los", "nlos_los", "los_nlos"])
-def test_routing_member_without_pdf_raises(member):
-    """A routing member that is no density model is refused when the routing
-    is built, not by the first GNSS epoch."""
-    models = dict(los_los=GaussianModel(0.0, 1.0), nlos_los=GaussianModel(13.0, 4.5),
-                  los_nlos=GaussianModel(-13.0, 4.5))
-    with pytest.raises(TypeError, match=member):
-        BssdRouting(**{**models, member: 3})
+def test_bssd_gmm_component_order_does_not_change_estimates():
+    """The filter routes BSSD pairs by what each mixture component models, so
+    all 24 orders of the survey mixture's components give the same bits on a
+    short dynamic stream, whose epochs hold LOS and NLOS satellites."""
+    scenario = make_dynamic_scenario(n_gnss_epochs=8, cell_size=0.5, seed=101)
+    events, _ = generate(scenario)
+    visibilities = {s.visibility for e in events
+                    if isinstance(e.payload, GnssPseudoranges) for s in e.payload.satellites}
+    assert visibilities == {LOS, NLOS}
+    d = DEFAULT_BSSD_GMM
+    runs = []
+    for order in itertools.permutations(range(d.n_components)):
+        gmm = GmmModel(*(tuple(v[c] for c in order)
+                         for v in (d.weights, d.means, d.variances)))
+        engine = FusionEngine(scenario.grid, scenario.anchors, FilterConfig(bssd_gmm=gmm))
+        runs.append((engine.run(events), engine.field.mass))
+    for estimates, mass in runs[1:]:
+        assert estimates == runs[0][0]
+        assert np.array_equal(mass, runs[0][1])
 
 
 @pytest.mark.parametrize("radius", [None, math.inf, SPEC.cell_size])
@@ -354,8 +369,9 @@ HUGE_EVENTS = {
     "tdoa_huge": (lambda t: Observation(t, RangeDifference("A1", "A2", 1e300)), (1, 1)),
     "pseudorange_huge": (lambda t: _with_satellite(gnss_obs(t), pseudorange=1e300),
                          (0, 1)),
-    "satellite_far": (lambda t: _far_satellites(gnss_obs(t), 1), (0, 1)),
-    "two_satellites_far": (lambda t: _far_satellites(gnss_obs(t), 2), (1, 1)),
+    # A satellite whose distances overflow is left out of the epoch's pairs.
+    "satellite_far": (lambda t: _far_satellites(gnss_obs(t), 1), (0, 0)),
+    "two_satellites_far": (lambda t: _far_satellites(gnss_obs(t), 2), (0, 0)),
 }
 
 

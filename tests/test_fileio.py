@@ -16,9 +16,10 @@ from gridfuse.geometry import ReferencePoint
 from gridfuse.grid import GridSpec
 from gridfuse.noise import (GaussianModel, GmmModel, MixtureLikelihoodModel,
                             UniformModel)
-from gridfuse.observations import (Angle, Observation, Odometry, Range,
+from gridfuse.observations import (LOS, NLOS, Angle, Observation, Odometry, Range,
                                    RangeDifference)
 from gridfuse.simulator import Trajectory, generate, make_static_scenario
+from gridfuse.update import bssd_routes
 
 
 def test_model_json_round_trip():
@@ -200,9 +201,57 @@ def test_filter_config_round_trip():
     assert cfg2.sigma_speed == 0.7 and cfg2.max_gap == 20.0
     assert not cfg2.recenter_enabled
     assert cfg2.range_model == cfg.range_model
-    assert cfg2.bssd_routing.los_los == cfg.bssd_routing.los_los
-    assert cfg2.bssd_routing.nlos_los == cfg.bssd_routing.nlos_los
-    assert cfg2.bssd_routing.los_nlos == cfg.bssd_routing.los_nlos
+    assert cfg2.bssd_gmm == cfg.bssd_gmm == DEFAULT_BSSD_GMM
+
+
+@pytest.mark.parametrize("gmm", [
+    GmmModel((0.1, 0.2, 0.3, 0.4), (-12.61, 13.09, -0.3, 0.25),
+             (21.05, 20.37, 142.89, 13.06)),
+    GmmModel((0.3, 0.05, 0.25, 0.2, 0.2), (0.1, 1.0 / 3.0, 14.2, -13.7, 2.5e-3),
+             (11.0, 0.7, 19.5, 22.25, 1e-4)),
+], ids=["4_components", "5_components"])
+def test_filter_config_bssd_gmm_round_trips_unchanged(gmm, tmp_path):
+    """A filter file holds the BSSD residual mixture as it is: every
+    component, weight and order survives a write and a read."""
+    path = tmp_path / "filter.json"
+    dump_json(filter_config_to_json(FilterConfig(bssd_gmm=gmm),
+                                    GridSpec((0, 0), 0.5, (10, 10)), ()), path)
+    cfg, _, _ = filter_config_from_json(load_json(path))
+    assert cfg.bssd_gmm == gmm
+
+
+def test_filter_config_reads_three_component_file_of_earlier_writer():
+    """Files written before the filter kept the whole mixture hold the three
+    routed Gaussians with nominal weights 0.34/0.33/0.33; they route to the
+    same three Gaussians, component 0 for LOS/LOS, 1 and 2 for NLOS."""
+    doc = filter_config_to_json(FilterConfig(), GridSpec((0, 0), 0.5, (10, 10)), ())
+    doc["bssd_gmm"] = {"type": "gmm", "weights": [0.34, 0.33, 0.33],
+                       "means": [0.25, 13.09, -12.61],
+                       "variances": [13.059999999999999, 20.369999999999997,
+                                     21.050000000000004]}
+    cfg, _, _ = filter_config_from_json(doc)
+    gmm = cfg.bssd_gmm
+    routes = bssd_routes(gmm)
+    assert routes == {(LOS, LOS): gmm.component(0), (NLOS, LOS): gmm.component(1),
+                      (LOS, NLOS): gmm.component(2)}
+    default = bssd_routes(DEFAULT_BSSD_GMM)
+    for key, model in routes.items():
+        assert model.mean == default[key].mean
+        assert model.std == pytest.approx(default[key].std, rel=1e-15)
+
+
+@pytest.mark.parametrize("bssd_gmm", [
+    {"type": "gaussian", "mean": 0.25, "std": 3.6},
+    {"type": "gmm", "weights": [0.5, 0.5], "means": [0.25, 13.09],
+     "variances": [13.06, 20.37]},
+], ids=["gaussian", "two_components"])
+def test_filter_config_rejects_unroutable_bssd_gmm(bssd_gmm):
+    """A ``bssd_gmm`` that is no mixture, or has fewer than three components,
+    is a malformed file."""
+    doc = filter_config_to_json(FilterConfig(), GridSpec((0, 0), 0.5, (10, 10)), ())
+    doc["bssd_gmm"] = bssd_gmm
+    with pytest.raises(DataFormatError, match="bssd_gmm"):
+        filter_config_from_json(doc)
 
 
 def test_filter_config_required_keys_only_takes_defaults():
@@ -219,17 +268,6 @@ def test_filter_config_required_keys_only_takes_defaults():
     for name in required[3:]:
         with pytest.raises(DataFormatError):
             filter_config_from_json({k: doc[k] for k in required if k != name})
-
-
-def test_filter_config_json_rejects_non_gaussian_routing():
-    """filter-v1 stores the routing as a 3-component GMM, so a member that is
-    not one Gaussian is named, as ``model_to_json`` names an unknown model."""
-    from gridfuse.update import BssdRouting
-    routing = BssdRouting(GaussianModel(0.25, 3.6), DEFAULT_UWB_MODEL,
-                          GaussianModel(-12.61, 4.6))
-    with pytest.raises(TypeError, match="nlos_los is a MixtureLikelihoodModel"):
-        filter_config_to_json(FilterConfig(bssd_routing=routing),
-                              GridSpec((0, 0), 0.5, (10, 10)), ())
 
 
 @pytest.mark.parametrize("section", [None, "grid", "range_model", "anchors"])

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import tracemalloc
@@ -5,15 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridfuse.engine import FilterConfig, FusionEngine
+from gridfuse.engine import DEFAULT_BSSD_GMM, FilterConfig, FusionEngine
 from gridfuse.geometry import ReferencePoint, gamma_distance, wrap_angle
 from gridfuse.grid import (MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField,
                            init_uniform)
 from gridfuse.noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Observation,
                                    Range, RangeDifference, SatelliteObservation)
-from gridfuse.update import (PRODUCT, SUM, BssdRouting, _innovation_pdf,
-                             bssd_pair_likelihoods, likelihood_aoa, likelihood_range,
+from gridfuse.update import (PRODUCT, SUM, _innovation_pdf, bssd_pair_likelihoods,
+                             bssd_routes, likelihood_aoa, likelihood_range,
                              likelihood_tdoa, update_aoa, update_gnss_bssd, update_range,
                              update_tdoa)
 
@@ -193,15 +194,21 @@ SAT_POSITIONS = [(2e7, 0, 1.2e7), (-1.3e7, 1e7, 1.5e7), (0, -1.8e7, 1e7),
                  (1e7, 1.6e7, 0.9e7)]
 
 
-def tight_routing(sigma=0.05):
-    g = GaussianModel(0.0, sigma)
-    return BssdRouting(g, GaussianModel(13.0, 4.5), GaussianModel(-13.0, 4.5))
+# A BSSD residual mixture whose components route to LOS/LOS N(0.25, 3.6^2),
+# NLOS minuend N(13.09, 4.5^2) and NLOS subtrahend N(-12.61, 4.6^2).
+PAIR_GMM = GmmModel((0.5, 0.25, 0.25), (0.25, 13.09, -12.61),
+                    (3.6 ** 2, 4.5 ** 2, 4.6 ** 2))
 
 
-def naive_bssd_posterior(prior, sats, routing):
+def tight_gmm(sigma=0.05):
+    return GmmModel((0.5, 0.25, 0.25), (0.0, 13.0, -13.0), (sigma ** 2, 20.25, 20.25))
+
+
+def naive_bssd_posterior(prior, sats, gmm):
     """Independent per-cell transcription of the BSSD update (sum mode):
-    every ordered pair of distinct satellites whose visibility routing gives
-    a model contributes one Gaussian density per cell."""
+    every ordered pair of distinct satellites whose visibilities the mixture
+    routes contributes one Gaussian density per cell."""
+    routes = bssd_routes(gmm)
     spec = prior.spec
     like = [0.0] * spec.num_cells
     for i in range(spec.num_cells):
@@ -214,7 +221,7 @@ def naive_bssd_posterior(prior, sats, routing):
 
         for a in sats:
             for b in sats:
-                model = routing.select(a.visibility, b.visibility)
+                model = routes.get((a.visibility, b.visibility))
                 if a is b or model is None:
                     continue
                 y = (a.pseudorange - b.pseudorange) - (dist(a) - dist(b))
@@ -229,8 +236,6 @@ def test_bssd_oracle_equivalence_mixed_visibility():
     spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (13, 11), plane_height=1.5)
     prior = LikelihoodField(spec, rng.random(spec.num_cells))
     truth = np.array([*spec.index_to_position(60), spec.plane_height])
-    routing = BssdRouting(GaussianModel(0.25, 3.6), GaussianModel(13.09, 4.5),
-                          GaussianModel(-12.61, 4.6))
     vis = [LOS, NLOS, LOS, NLOS, LOS, LOS]
     sats = []
     for k, v in enumerate(vis):
@@ -239,8 +244,8 @@ def test_bssd_oracle_equivalence_mixed_visibility():
                               math.cos(el) * math.sin(az), math.sin(el)])
         rho = float(np.linalg.norm(p - truth)) + rng.normal(0, 3.0) + (13.0 if v == NLOS else 0.0)
         sats.append(_sat(f"G{k}", tuple(p), rho, v))
-    post = update_gnss_bssd(prior, GnssPseudoranges(tuple(sats)), routing)
-    expected = naive_bssd_posterior(prior, sats, routing)
+    post = update_gnss_bssd(prior, GnssPseudoranges(tuple(sats)), PAIR_GMM)
+    expected = naive_bssd_posterior(prior, sats, PAIR_GMM)
     assert np.max(np.abs(post.mass - expected) / expected) <= 1e-12
 
 
@@ -248,7 +253,7 @@ def test_bssd_noiseless_ridge_through_truth():
     spec = GridSpec((-10, -10), 1.0, (21, 21))
     truth = np.array([3.0, -2.0, 0.0])
     epoch = _noiseless_epoch(truth, SAT_POSITIONS[:2])
-    post = update_gnss_bssd(init_uniform(spec), epoch, tight_routing())
+    post = update_gnss_bssd(init_uniform(spec), epoch, tight_gmm())
     map_pos = spec.index_to_position(int(np.argmax(post.mass)))
     # single pair gives a ridge; the true cell must lie on it
     truth_idx = spec.coords_to_index((13, 8))
@@ -272,9 +277,7 @@ def test_bssd_more_satellites_shrink_posterior():
     spec = GridSpec((-10, -10), 0.5, (41, 41))
     truth = np.zeros(3)
     rng = np.random.default_rng(8)
-    sigma_sd = math.sqrt(2.0) * 7.8
-    routing = BssdRouting(GaussianModel(0.0, sigma_sd),
-                          GaussianModel(13.0, 4.5), GaussianModel(-13.0, 4.5))
+    gmm = tight_gmm(sigma=math.sqrt(2.0) * 7.8)
 
     def posterior_spread(n_sats):
         traces = []
@@ -284,7 +287,7 @@ def test_bssd_more_satellites_shrink_posterior():
                 rho = float(np.linalg.norm(np.asarray(p) - truth)) + rng.normal(0, 7.8)
                 sats.append(_sat(f"G{k}", p, rho))
             post = update_gnss_bssd(init_uniform(spec),
-                                    GnssPseudoranges(tuple(sats)), routing,
+                                    GnssPseudoranges(tuple(sats)), gmm,
                                     mode="product")
             pos = spec.positions()
             mean = (post.mass[:, None] * pos).sum(axis=0)
@@ -300,28 +303,58 @@ def test_bssd_visibility_routing():
     truth = np.zeros(3)
     # pair (NLOS, LOS) must use the positive-mean model, swapped the negative
     epoch = _noiseless_epoch(truth, SAT_POSITIONS[:2], vis=[NLOS, LOS])
-    routing = tight_routing()
-    sel_ab = routing.select(NLOS, LOS)
-    sel_ba = routing.select(LOS, NLOS)
+    gmm = tight_gmm()
+    routes = bssd_routes(gmm)
+    sel_ab = routes[(NLOS, LOS)]
+    sel_ba = routes[(LOS, NLOS)]
     assert sel_ab.mean > 0 and sel_ba.mean < 0
-    assert routing.select(NLOS, NLOS) is None
+    assert (NLOS, NLOS) not in routes
     # both-NLOS epoch contributes nothing
     both = _noiseless_epoch(truth, SAT_POSITIONS[:2], vis=[NLOS, NLOS])
     prior = init_uniform(spec)
-    post = update_gnss_bssd(prior, both, routing)
+    post = update_gnss_bssd(prior, both, gmm)
     assert post is prior
 
 
-def reference_bssd_update(prior, obs, routing, mode=SUM):
+def _reordered(gmm, order):
+    return GmmModel(*(tuple(v[c] for c in order)
+                      for v in (gmm.weights, gmm.means, gmm.variances)))
+
+
+def test_bssd_routes_pick_components_by_what_they_model():
+    """LOS/LOS pairs take the heaviest component; of the others, an NLOS
+    minuend takes the largest mean and an NLOS subtrahend the smallest. The
+    survey default routes components 0, 1 and 2 in any component order; ties
+    go to the lower index; fewer than three components, or a single
+    Gaussian, cannot be routed."""
+    d = DEFAULT_BSSD_GMM
+    expected = {(LOS, LOS): d.component(0), (NLOS, LOS): d.component(1),
+                (LOS, NLOS): d.component(2)}
+    for order in itertools.permutations(range(d.n_components)):
+        assert bssd_routes(_reordered(d, order)) == expected, order
+    tied = GmmModel((0.1, 0.3, 0.3, 0.15, 0.15), (-9.0, 0.0, 0.0, 9.0, 9.0),
+                    (1.0, 2.0, 3.0, 4.0, 5.0))
+    assert bssd_routes(tied) == {(LOS, LOS): tied.component(1),
+                                 (NLOS, LOS): tied.component(3),
+                                 (LOS, NLOS): tied.component(0)}
+    for gmm in (GmmModel((1.0,), (0.25,), (13.06,)),
+                GmmModel((0.5, 0.5), (0.25, 13.09), (13.06, 20.37)),
+                GaussianModel(0.25, 3.6)):
+        with pytest.raises(ValueError, match="at least 3 components"):
+            bssd_routes(gmm)
+
+
+def reference_bssd_update(prior, obs, gmm, mode=SUM):
     """The BSSD update as one ``model.pdf`` array per usable ordered pair,
     then the reference fold: the allocating form that ``update_gnss_bssd``
     folds into one accumulator. Returns the posterior and the pair count."""
     dist = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), prior.spec)
             for s in obs.satellites}
+    routes = bssd_routes(gmm)
     arrays = []
     for a in obs.satellites:
         for b in obs.satellites:
-            model = routing.select(a.visibility, b.visibility)
+            model = routes.get((a.visibility, b.visibility))
             if a.sat_id == b.sat_id or model is None:
                 continue
             y = (a.pseudorange - b.pseudorange) - (dist[a.sat_id] - dist[b.sat_id])
@@ -367,7 +400,7 @@ def test_update_unknown_mode_raises(mode):
     spec = GridSpec((0, 0), 1.0, (5, 5))
     epoch = GnssPseudoranges((_sat("G0", SAT_POSITIONS[0], 2e7),))
     with pytest.raises(ValueError, match="unknown combination mode"):
-        update_gnss_bssd(init_uniform(spec), epoch, tight_routing(), mode)
+        update_gnss_bssd(init_uniform(spec), epoch, tight_gmm(), mode)
 
 
 def _random_epoch(rng, spec, vis, nlos_bias=13.0):
@@ -388,15 +421,15 @@ def test_bssd_skips_nlos_pairs_in_mixed_epoch(caplog):
     truth = np.zeros(3)
     epoch_mixed = _noiseless_epoch(truth, SAT_POSITIONS[:3],
                                    vis=[LOS, NLOS, NLOS])
-    routing = tight_routing(sigma=1.0)
+    gmm = tight_gmm(sigma=1.0)
     with caplog.at_level(logging.DEBUG, logger="gridfuse.update"):
-        post = update_gnss_bssd(init_uniform(spec), epoch_mixed, routing)
+        post = update_gnss_bssd(init_uniform(spec), epoch_mixed, gmm)
     assert "4 BSSD pair(s) used, 2 dropped" in caplog.text
     # pairs (1,2), (2,1) are both NLOS and dropped
-    used = bssd_pair_likelihoods(spec, epoch_mixed, routing, np.zeros(spec.num_cells),
-                                 np.add)
+    used = bssd_pair_likelihoods(spec, epoch_mixed, bssd_routes(gmm),
+                                 np.zeros(spec.num_cells), np.add)
     assert used == [("G0", "G1"), ("G0", "G2"), ("G1", "G0"), ("G2", "G0")]
-    manual, n_pairs = reference_bssd_update(init_uniform(spec), epoch_mixed, routing)
+    manual, n_pairs = reference_bssd_update(init_uniform(spec), epoch_mixed, gmm)
     assert n_pairs == 4
     assert np.array_equal(post.mass, manual.mass)
 
@@ -413,11 +446,9 @@ def test_bssd_update_matches_per_pair_reference(vis, mode):
     rng = np.random.default_rng(len(vis) + vis.count(NLOS))
     spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (23, 19), plane_height=1.5)
     prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
-    routing = BssdRouting(GaussianModel(0.25, 3.6), GaussianModel(13.09, 4.5),
-                          GaussianModel(-12.61, 4.6))
     epoch = _random_epoch(rng, spec, vis)
-    expected, _ = reference_bssd_update(prior, epoch, routing, mode)
-    assert np.array_equal(update_gnss_bssd(prior, epoch, routing, mode).mass,
+    expected, _ = reference_bssd_update(prior, epoch, PAIR_GMM, mode)
+    assert np.array_equal(update_gnss_bssd(prior, epoch, PAIR_GMM, mode).mass,
                           expected.mass)
 
 
@@ -428,8 +459,7 @@ def test_product_epoch_matches_prior_first_product():
     of the peak; an epoch whose product underflows collapses in both."""
     rng = np.random.default_rng(17)
     spec = GridSpec((-20.0, -15.0), 0.7, (23, 19), plane_height=1.5)
-    routing = BssdRouting(GaussianModel(0.25, 3.6), GaussianModel(13.09, 4.5),
-                          GaussianModel(-12.61, 4.6))
+    routes = bssd_routes(PAIR_GMM)
     collapsed = []
     for k in range(12):
         prior = LikelihoodField(spec, rng.random(spec.num_cells) + 1e-3)
@@ -440,13 +470,13 @@ def test_product_epoch_matches_prior_first_product():
         oracle = prior.mass.copy()
         for a in epoch.satellites:
             for b in epoch.satellites:
-                model = routing.select(a.visibility, b.visibility)
+                model = routes.get((a.visibility, b.visibility))
                 if a.sat_id != b.sat_id and model is not None:
                     y = (a.pseudorange - b.pseudorange) - (dist[a.sat_id] - dist[b.sat_id])
                     oracle *= model.pdf(y)
         oracle_collapsed = not oracle.sum() > 0
         try:
-            post = update_gnss_bssd(prior, epoch, routing, PRODUCT).mass
+            post = update_gnss_bssd(prior, epoch, PAIR_GMM, PRODUCT).mass
         except DegenerateFieldError:
             post = None
         assert (post is None) == oracle_collapsed, k
@@ -473,7 +503,7 @@ def test_bssd_samples_every_pair_through_module_density(monkeypatch):
     monkeypatch.setattr(gridfuse.update, "density", counting)
     spec = GridSpec((-5, -5), 1.0, (11, 11))
     epoch = _noiseless_epoch(np.zeros(3), SAT_POSITIONS[:4], vis=[LOS, NLOS, LOS, NLOS])
-    update_gnss_bssd(init_uniform(spec), epoch, tight_routing(sigma=1.0))
+    update_gnss_bssd(init_uniform(spec), epoch, tight_gmm(sigma=1.0))
     assert calls == [True] * 10  # 12 ordered pairs, 2 of them both NLOS
 
 
@@ -485,11 +515,10 @@ def test_bssd_update_peak_memory(mode):
     spec = GridSpec((-100.0, -100.0), 1.0, (200, 200))
     prior = LikelihoodField(spec, rng.random(spec.num_cells) + 0.01)
     epoch = _random_epoch(rng, spec, [LOS, LOS, NLOS, LOS, LOS, NLOS, LOS, LOS])
-    routing = BssdRouting.from_gmm(GmmModel((0.5, 0.25, 0.25), (0.25, 13.09, -12.61),
-                                            (13.0, 20.4, 21.0)))
+    gmm = GmmModel((0.5, 0.25, 0.25), (0.25, 13.09, -12.61), (13.0, 20.4, 21.0))
     tracemalloc.start()
     try:
-        update_gnss_bssd(prior, epoch, routing, mode)
+        update_gnss_bssd(prior, epoch, gmm, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -523,7 +552,7 @@ def test_bssd_single_satellite_no_update():
     spec = GridSpec((-5, -5), 1.0, (11, 11))
     prior = init_uniform(spec)
     epoch = GnssPseudoranges((_sat("G0", SAT_POSITIONS[0], 2e7),))
-    assert update_gnss_bssd(prior, epoch, tight_routing()) is prior
+    assert update_gnss_bssd(prior, epoch, tight_gmm()) is prior
 
 
 def test_combine_duplicate_observation_product_sharper():
@@ -533,15 +562,15 @@ def test_combine_duplicate_observation_product_sharper():
     counts them twice."""
     spec = GridSpec((-10, -10), 1.0, (21, 21))
     truth = np.array([2.0, -3.0, 0.0])
-    routing = tight_routing(sigma=3.0)
+    gmm = tight_gmm(sigma=3.0)
     single = _noiseless_epoch(truth, SAT_POSITIONS[:2], vis=[NLOS, LOS])
     twice = _noiseless_epoch(truth, [SAT_POSITIONS[0], *SAT_POSITIONS[:2]],
                              vis=[NLOS, NLOS, LOS])
     prior = init_uniform(spec)
-    s = update_gnss_bssd(prior, twice, routing, SUM)
-    assert np.allclose(s.mass, update_gnss_bssd(prior, single, routing, SUM).mass,
+    s = update_gnss_bssd(prior, twice, gmm, SUM)
+    assert np.allclose(s.mass, update_gnss_bssd(prior, single, gmm, SUM).mass,
                        atol=1e-12)
-    p = update_gnss_bssd(prior, twice, routing, PRODUCT)
+    p = update_gnss_bssd(prior, twice, gmm, PRODUCT)
 
     def entropy(m):
         m = m[m > 0]
@@ -555,7 +584,7 @@ def test_combine_empty_returns_prior():
     prior = init_uniform(GridSpec((0, 0), 1.0, (5, 5)))
     both_nlos = _noiseless_epoch(np.zeros(3), SAT_POSITIONS[:2], vis=[NLOS, NLOS])
     for mode in (SUM, PRODUCT):
-        assert update_gnss_bssd(prior, both_nlos, tight_routing(), mode) is prior
+        assert update_gnss_bssd(prior, both_nlos, tight_gmm(), mode) is prior
 
 
 def test_combine_all_zero_product_degenerate():
