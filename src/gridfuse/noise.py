@@ -10,11 +10,19 @@ Every density model is a frozen dataclass with two methods:
 - ``sample(rng, size=None)`` draws from it with the given generator and
   returns a float when ``size`` is None, else an array of that shape.
 
+Every Gaussian density, alone or as a mixture component, is one ``exp`` with
+its constants folded in: exp((y - mean)**2 * (-0.5 / var) - log(sqrt(2 pi) *
+sqrt(var))), so no pass over the input divides. The constructors reject
+parameters without a finite density: a non-finite mean or bound, a variance
+(or ``std * std``) that is not finite and > 0 or whose -0.5 / var overflows,
+and mixture weights that are not finite and >= 0.
+
 A new model also needs one entry in the JSON tag table of ``fileio``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +46,27 @@ def _operands(y, out):
 
 
 def _gauss_pdf(y, mean, var, out=None):
-    """exp(-0.5 * (y - mean)**2 / var) / (sqrt(2 pi) * sqrt(var)), one
-    operation at a time in ``out``."""
+    """exp((y - mean)**2 * (-0.5 / var) - log(sqrt(2 pi) * sqrt(var))), one
+    operation at a time in ``out``; both constants are Python floats computed
+    once. A square that overflows gives -inf, so density 0."""
     y, out = _operands(y, out)
+    scale = -0.5 / var
+    log_norm = float(np.log(_SQRT_2PI * np.sqrt(var)))
     np.subtract(y, mean, out=out)
     np.square(out, out=out)
-    np.multiply(-0.5, out, out=out)
-    np.divide(out, var, out=out)
-    np.exp(out, out=out)
-    return np.divide(out, _SQRT_2PI * np.sqrt(var), out=out)
+    np.multiply(out, scale, out=out)
+    np.subtract(out, log_norm, out=out)
+    return np.exp(out, out=out)
+
+
+def _check_gaussian(mean, var) -> None:
+    """Raise ValueError unless ``mean`` is finite and ``var`` is finite and
+    > 0 with a finite -0.5 / var (a subnormal variance overflows it)."""
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not (0 < var < math.inf and 0.5 / var < math.inf):
+        raise ValueError(f"variance must be finite and > 0 with a finite "
+                         f"reciprocal, got {var}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +77,7 @@ class GaussianModel:
     def __post_init__(self):
         if not self.std > 0:
             raise ValueError(f"std must be > 0, got {self.std}")
+        _check_gaussian(self.mean, self.std * self.std)
 
     def pdf(self, y, out=None):
         return _gauss_pdf(y, self.mean, self.std ** 2, out)
@@ -73,8 +94,11 @@ class UniformModel:
     high: float
 
     def __post_init__(self):
-        if not self.high > self.low:
-            raise ValueError("require high > low")
+        # 1 / (high - low) is 0 for an infinite width, inf for a subnormal one.
+        if not (math.isfinite(self.low) and self.high > self.low
+                and 0 < 1.0 / (self.high - self.low) < math.inf):
+            raise ValueError("require finite low < high with a finite, non-zero "
+                             f"density, got [{self.low}, {self.high}]")
 
     def pdf(self, y, out=None):
         y, out = _operands(y, out)
@@ -101,10 +125,12 @@ class GmmModel:
         s = tuple(float(v) for v in self.variances)
         if not (len(w) == len(m) == len(s)) or len(w) < 1:
             raise ValueError("component lists must be non-empty and equal length")
+        if not all(0 <= v < math.inf for v in w):
+            raise ValueError(f"weights must be finite and >= 0, got {w}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(w)}")
-        if any(v <= 0 for v in s):
-            raise ValueError("variances must be positive")
+        for mean, var in zip(m, s):
+            _check_gaussian(mean, var)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", s)

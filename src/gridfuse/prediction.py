@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .grid import GridSpec, LikelihoodField
 
@@ -138,6 +138,20 @@ class TransitionWorkspace:
             return np.exp(-0.5 * ((travel - np.hypot.outer(d, d)) / sigma) ** 2)
 
 
+def _convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The linear convolution of ``grid`` with ``kernel``, as a view of the
+    grid's window, by the operations of ``scipy.signal.fftconvolve(grid, kernel,
+    mode="same")`` and so with its bits whenever both span at least two cells
+    per axis: real FFTs at the next fast length of the full extent n + k - 1
+    per axis, their product, the inverse FFT and the window from (k - 1) // 2.
+    ``scipy.signal`` itself is not imported; it costs about 49 MB."""
+    shape = [n + k - 1 for n, k in zip(grid.shape, kernel.shape)]
+    fshape = [next_fast_len(n, True) for n in shape]
+    full = irfft2(rfft2(grid, fshape) * rfft2(kernel, fshape), fshape)
+    return full[tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
+                      for n, k in zip(grid.shape, kernel.shape))]
+
+
 def predict(posterior: LikelihoodField, transition: Transition | MotionInput,
             ws: TransitionWorkspace) -> LikelihoodField:
     """Propagate the posterior through a transition (or one motion step) and
@@ -155,6 +169,5 @@ def predict(posterior: LikelihoodField, transition: Transition | MotionInput,
         kernel = ws._ring_kernel(transition)
     else:
         kernel = ws.transition_kernel(Transition.step(transition))
-    grid = posterior.mass.reshape(posterior.spec.extent)
-    pred = fftconvolve(grid, kernel, mode="same")
-    return LikelihoodField(posterior.spec, np.maximum(pred, 0.0, out=pred).ravel())
+    pred = _convolve_same(posterior.mass.reshape(posterior.spec.extent), kernel)
+    return LikelihoodField(posterior.spec, np.maximum(pred, 0.0).ravel())

@@ -80,31 +80,39 @@ def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
                           routes: dict, acc: np.ndarray,
                           fold: np.ufunc) -> list[tuple[str, str]]:
     """Full-set differencing: fold the likelihood of every usable ordered pair
-    into ``acc`` in pair order, as ``fold(acc, likelihood, out=acc)``. A pair
-    is usable when ``routes`` (see ``bssd_routes``) has a density for its
-    visibilities and both satellites' distances are finite everywhere.
+    into ``acc``, as ``fold(acc, likelihood, out=acc)``. A pair is usable when
+    ``routes`` (see ``bssd_routes``) has a Gaussian for its visibilities and
+    both satellites' distances are finite everywhere.
 
-    Each satellite's distances are computed once, and every pair is sampled
-    in one scratch buffer, so no per-pair array is kept. Returns the
-    (minuend, subtrahend) ids of the pairs used.
+    Each satellite's distances are computed once. For a before b in epoch
+    order, one innovation y = (d_a - d_b) - (rho_a - rho_b) serves both
+    directions: it is the (b, a) innovation bit for bit, and the (a, b) one
+    negated, since IEEE negation and x - z = -(z - x) are exact. So (a, b)
+    has density N(y; -mu_ab, var_ab) and (b, a) N(y; mu_ba, var_ba), each
+    sampled in one scratch buffer and folded in that order. Returns the
+    (minuend, subtrahend) ids of the pairs used, in fold order.
     """
+    negated = {vis: GaussianModel(-m.mean, m.std) for vis, m in routes.items()}
+    y = np.empty(grid.num_cells)
     like = np.empty(grid.num_cells)
     used = []
     with np.errstate(over="ignore", invalid="ignore"):
         dists = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), grid)
                  for s in obs.satellites}
         sats = [s for s in obs.satellites if dists[s.sat_id].max() < np.inf]
-        for a in sats:
-            for b in sats:
-                if a.sat_id == b.sat_id:
+        for i, a in enumerate(sats):
+            for b in sats[i + 1:]:
+                directions = [(model, pair) for model, pair in (
+                    (negated.get((a.visibility, b.visibility)), (a.sat_id, b.sat_id)),
+                    (routes.get((b.visibility, a.visibility)), (b.sat_id, a.sat_id)))
+                    if model is not None]
+                if a.sat_id == b.sat_id or not directions:
                     continue
-                model = routes.get((a.visibility, b.visibility))
-                if model is None:
-                    continue
-                np.subtract(dists[a.sat_id], dists[b.sat_id], out=like)
-                fold(acc, _innovation_pdf(a.pseudorange - b.pseudorange, like, model),
-                     out=acc)
-                used.append((a.sat_id, b.sat_id))
+                np.subtract(dists[a.sat_id], dists[b.sat_id], out=y)
+                np.subtract(y, a.pseudorange - b.pseudorange, out=y)
+                for model, pair in directions:
+                    fold(acc, density(model, y, like), out=acc)
+                    used.append(pair)
     return used
 
 

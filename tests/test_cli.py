@@ -9,6 +9,8 @@ from gridfuse.fileio import (OBS_HEADER, dump_json, filter_config_to_json,
 from gridfuse.noise import GmmModel, sample
 from gridfuse.simulator import make_static_scenario
 
+from model_cases import NO_FINITE_DENSITY, as_json
+
 
 def write_scenario(path, **kwargs):
     sc = make_static_scenario(**kwargs)
@@ -62,6 +64,21 @@ def test_filter_with_unroutable_bssd_gmm_exits_2(tmp_path, capsys, bssd_gmm):
                  "--observations", str(tmp_path / "obs.csv"),
                  "--out", str(tmp_path / "out")]) == EXIT_DATA
     assert "bssd_gmm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cls, kwargs", NO_FINITE_DENSITY.values(),
+                         ids=NO_FINITE_DENSITY.keys())
+def test_filter_with_model_without_a_finite_density_exits_2(tmp_path, capsys,
+                                                            cls, kwargs):
+    sc = make_static_scenario(n_epochs=2, cell_size=1.0)
+    doc = filter_config_to_json(FilterConfig(), sc.grid, sc.anchors)
+    doc["range_model"] = as_json(cls, kwargs)
+    dump_json(doc, tmp_path / "filter.json")
+    (tmp_path / "obs.csv").write_text(",".join(OBS_HEADER) + "\n")
+    assert main(["filter", "--config", str(tmp_path / "filter.json"),
+                 "--observations", str(tmp_path / "obs.csv"),
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert "bad model" in capsys.readouterr().err
 
 
 def test_simulate_filter_evaluate_pipeline(tmp_path, capsys):

@@ -21,6 +21,8 @@ from gridfuse.observations import (LOS, NLOS, Angle, Observation, Odometry, Rang
 from gridfuse.simulator import Trajectory, generate, make_static_scenario
 from gridfuse.update import bssd_routes
 
+from model_cases import NO_FINITE_DENSITY, as_json
+
 
 def test_model_json_round_trip():
     models = [
@@ -252,6 +254,16 @@ def test_filter_config_rejects_unroutable_bssd_gmm(bssd_gmm):
     doc["bssd_gmm"] = bssd_gmm
     with pytest.raises(DataFormatError, match="bssd_gmm"):
         filter_config_from_json(doc)
+
+
+@pytest.mark.parametrize("cls, kwargs", NO_FINITE_DENSITY.values(),
+                         ids=NO_FINITE_DENSITY.keys())
+def test_filter_config_rejects_models_without_a_finite_density(tmp_path, cls, kwargs):
+    doc = filter_config_to_json(FilterConfig(), GridSpec((0, 0), 0.5, (10, 10)), ())
+    doc["range_model"] = as_json(cls, kwargs)
+    dump_json(doc, tmp_path / "filter.json")
+    with pytest.raises(DataFormatError, match="bad model"):
+        filter_config_from_json(load_json(tmp_path / "filter.json"))
 
 
 def test_filter_config_required_keys_only_takes_defaults():

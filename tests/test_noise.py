@@ -9,6 +9,8 @@ from gridfuse.noise import (CalibrationFailureError, GaussianModel, GmmModel,
                             MixtureLikelihoodModel, UniformModel, _em_once, density,
                             fit_gmm, sample)
 
+from model_cases import NO_FINITE_DENSITY
+
 PAPER_GMM = GmmModel.from_unnormalized(
     weights=(0.42, 0.24, 0.24, 0.01),
     means=(0.25, 13.09, -12.61, -0.3),
@@ -97,7 +99,7 @@ def test_pdf_into_out_matches_allocating_call(model, y):
 
 
 def _written_out_gauss(y, mean, var):
-    return np.exp(-0.5 * (y - mean) ** 2 / var) / (np.sqrt(2.0 * np.pi) * np.sqrt(var))
+    return np.exp((y - mean) ** 2 * (-0.5 / var) - np.log(np.sqrt(2.0 * np.pi) * np.sqrt(var)))
 
 
 def _written_out_pdf(model, y):
@@ -219,6 +221,13 @@ def test_fit_gmm_constant_data_fails():
 def test_fit_gmm_needs_enough_samples():
     with pytest.raises(ValueError):
         fit_gmm(np.arange(15.0), 2, seed=0)
+
+
+@pytest.mark.parametrize("cls, kwargs", NO_FINITE_DENSITY.values(),
+                         ids=NO_FINITE_DENSITY.keys())
+def test_models_without_a_finite_density_are_rejected(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
 
 
 def test_gmm_validation():

@@ -1,12 +1,15 @@
 import gc
 import math
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
-from gridfuse.prediction import MotionInput, Transition, TransitionWorkspace, predict
+from gridfuse.prediction import (MotionInput, Transition, TransitionWorkspace,
+                                 _convolve_same, predict)
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (21, 21))
 WS = TransitionWorkspace(SPEC)
@@ -267,6 +270,46 @@ def test_transition_moments_that_overflow_give_a_zero_kernel():
         for motion in (step, MotionInput(speed, None, dt=0.1)):
             with pytest.raises(DegenerateFieldError):
                 predict(field, motion, WS)
+
+
+@pytest.mark.parametrize("extent, k", [
+    ((30, 30), 7), ((31, 17), 9), ((16, 25), 5), ((12, 9), 23), ((5, 6), 13),
+], ids=["even", "odd_even", "even_odd", "kernel_wider_than_grid", "small"])
+def test_convolution_has_the_bits_of_fftconvolve_same(extent, k):
+    """``predict`` convolves by the operations of scipy.signal's fftconvolve
+    in "same" mode, so every bit agrees with it."""
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(k)
+    grid = rng.random(extent)
+    kernel = rng.random((k, k))
+    assert np.array_equal(_convolve_same(grid, kernel),
+                          fftconvolve(grid, kernel, mode="same"))
+    field = LikelihoodField(GridSpec((0.0, 0.0), 0.5, extent), grid.ravel())
+    step = Transition.step(MotionInput(1.3, 0.4))
+    pred = predict(field, step, TransitionWorkspace(field.spec))
+    expected = fftconvolve(field.mass.reshape(extent),
+                           TransitionWorkspace(field.spec).transition_kernel(step),
+                           mode="same")
+    expected = LikelihoodField(field.spec, np.maximum(expected, 0.0).ravel())
+    assert np.array_equal(pred.mass, expected.mass)
+
+
+def test_one_by_one_zero_kernel_collapses():
+    spec = GridSpec((0.0, 0.0), 0.5, (7, 8))
+    assert not np.any(_convolve_same(init_uniform(spec).mass.reshape(spec.extent),
+                                     np.zeros((1, 1))))
+    with pytest.raises(DegenerateFieldError):
+        predict(init_uniform(spec), Transition(np.full(2, np.inf), np.eye(2)),
+                TransitionWorkspace(spec))
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """Importing scipy.signal costs about 49 MB of resident memory; the
+    package needs only scipy.fft."""
+    code = "import sys, gridfuse.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_dropped_workspace_is_collected():

@@ -345,20 +345,22 @@ def test_bssd_routes_pick_components_by_what_they_model():
 
 
 def reference_bssd_update(prior, obs, gmm, mode=SUM):
-    """The BSSD update as one ``model.pdf`` array per usable ordered pair,
-    then the reference fold: the allocating form that ``update_gnss_bssd``
-    folds into one accumulator. Returns the posterior and the pair count."""
+    """The BSSD update as one ``model.pdf`` array per usable ordered pair, in
+    the update's pair order ((a, b), then (b, a), for a before b), then the
+    reference fold: the allocating form that ``update_gnss_bssd`` folds into
+    one accumulator. Returns the posterior and the pair count."""
     dist = {s.sat_id: gamma_distance(ReferencePoint(s.sat_id, s.position), prior.spec)
             for s in obs.satellites}
     routes = bssd_routes(gmm)
     arrays = []
-    for a in obs.satellites:
-        for b in obs.satellites:
-            model = routes.get((a.visibility, b.visibility))
-            if a.sat_id == b.sat_id or model is None:
-                continue
-            y = (a.pseudorange - b.pseudorange) - (dist[a.sat_id] - dist[b.sat_id])
-            arrays.append(model.pdf(y))
+    for i, first in enumerate(obs.satellites):
+        for second in obs.satellites[i + 1:]:
+            for a, b in ((first, second), (second, first)):
+                model = routes.get((a.visibility, b.visibility))
+                if model is None:
+                    continue
+                y = (a.pseudorange - b.pseudorange) - (dist[a.sat_id] - dist[b.sat_id])
+                arrays.append(model.pdf(y))
     return reference_combine(prior, arrays, mode), len(arrays)
 
 
@@ -403,13 +405,14 @@ def test_update_unknown_mode_raises(mode):
         update_gnss_bssd(init_uniform(spec), epoch, tight_gmm(), mode)
 
 
-def _random_epoch(rng, spec, vis, nlos_bias=13.0):
+def _random_epoch(rng, spec, vis, nlos_bias=13.0, radii=None):
     truth = np.array([*spec.index_to_position(spec.num_cells // 3), spec.plane_height])
     sats = []
     for k, v in enumerate(vis):
         az, el = rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1.4)
-        p = 2.6e7 * np.array([math.cos(el) * math.cos(az),
-                              math.cos(el) * math.sin(az), math.sin(el)])
+        radius = 2.6e7 if radii is None else radii[k]
+        p = radius * np.array([math.cos(el) * math.cos(az),
+                               math.cos(el) * math.sin(az), math.sin(el)])
         rho = (float(np.linalg.norm(p - truth)) + rng.normal(0, 3.0)
                + (nlos_bias if v == NLOS else 0.0))
         sats.append(_sat(f"G{k}", tuple(p), rho, v))
@@ -428,7 +431,7 @@ def test_bssd_skips_nlos_pairs_in_mixed_epoch(caplog):
     # pairs (1,2), (2,1) are both NLOS and dropped
     used = bssd_pair_likelihoods(spec, epoch_mixed, bssd_routes(gmm),
                                  np.zeros(spec.num_cells), np.add)
-    assert used == [("G0", "G1"), ("G0", "G2"), ("G1", "G0"), ("G2", "G0")]
+    assert used == [("G0", "G1"), ("G1", "G0"), ("G0", "G2"), ("G2", "G0")]
     manual, n_pairs = reference_bssd_update(init_uniform(spec), epoch_mixed, gmm)
     assert n_pairs == 4
     assert np.array_equal(post.mass, manual.mass)
@@ -450,6 +453,34 @@ def test_bssd_update_matches_per_pair_reference(vis, mode):
     expected, _ = reference_bssd_update(prior, epoch, PAIR_GMM, mode)
     assert np.array_equal(update_gnss_bssd(prior, epoch, PAIR_GMM, mode).mass,
                           expected.mass)
+
+
+@pytest.mark.parametrize("vis", [(LOS, LOS), (NLOS, LOS), (LOS, NLOS)],
+                         ids=["los_los", "nlos_los", "los_nlos"])
+def test_bssd_pair_directions_share_one_innovation(vis):
+    """Both directions of a pair read one innovation, yet each density has the
+    bits of ``model.pdf`` of that direction's written innovation
+    (rho_a - rho_b) - (d_a - d_b). The satellites' ranges lie many binades
+    apart, so the differences round and the order of operations shows."""
+    rng = np.random.default_rng(31)
+    spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (23, 19), plane_height=1.5)
+    epoch = _random_epoch(rng, spec, list(vis), radii=(7.0e5, 2.6e7))
+    routes = bssd_routes(PAIR_GMM)
+    folded = []
+
+    def record(acc, like, out):
+        folded.append(like.copy())
+        return out
+
+    used = bssd_pair_likelihoods(spec, epoch, routes, np.zeros(spec.num_cells), record)
+    first, second = epoch.satellites
+    directions = [(first, second), (second, first)]
+    assert used == [(a.sat_id, b.sat_id) for a, b in directions]
+    for like, (a, b) in zip(folded, directions, strict=True):
+        da, db = (gamma_distance(ReferencePoint(s.sat_id, s.position), spec)
+                  for s in (a, b))
+        y = (a.pseudorange - b.pseudorange) - (da - db)
+        assert np.array_equal(like, routes[(a.visibility, b.visibility)].pdf(y))
 
 
 def test_product_epoch_matches_prior_first_product():
@@ -492,19 +523,24 @@ def test_product_epoch_matches_prior_first_product():
 
 def test_bssd_samples_every_pair_through_module_density(monkeypatch):
     """Each used pair is one call of ``update.density``, the attribute a
-    tracer wraps, with the scratch buffer as both input and output."""
+    tracer wraps: its input is the pair's shared innovation, its output one
+    scratch buffer distinct from it."""
     import gridfuse.update
-    calls = []
+    inputs, outputs = [], []
 
     def counting(model, y, out=None):
-        calls.append(out is y)
+        inputs.append(y)
+        outputs.append(out)
         return model.pdf(y, out)
 
     monkeypatch.setattr(gridfuse.update, "density", counting)
     spec = GridSpec((-5, -5), 1.0, (11, 11))
     epoch = _noiseless_epoch(np.zeros(3), SAT_POSITIONS[:4], vis=[LOS, NLOS, LOS, NLOS])
     update_gnss_bssd(init_uniform(spec), epoch, tight_gmm(sigma=1.0))
-    assert calls == [True] * 10  # 12 ordered pairs, 2 of them both NLOS
+    assert len(inputs) == 10  # 12 ordered pairs, 2 of them both NLOS
+    assert all(y is inputs[0] for y in inputs)
+    assert all(out is outputs[0] for out in outputs)
+    assert outputs[0] is not inputs[0]
 
 
 @pytest.mark.parametrize("mode", [SUM, PRODUCT])
