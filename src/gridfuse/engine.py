@@ -15,7 +15,7 @@ from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform,
 from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
                            RangeDifference)
-from .prediction import MotionInput, Transition, TransitionWorkspace, predict
+from .prediction import Transition, TransitionWorkspace, predict
 from .update import (SUM, bssd_routes, check_mode, update_aoa, update_gnss_bssd,
                      update_range, update_tdoa)
 
@@ -38,6 +38,8 @@ DEFAULT_UWB_MODEL = MixtureLikelihoodModel(
 # The grid recenters once the MAP cell comes within this fraction of the
 # grid extent (at least one cell) of its border.
 RECENTER_MARGIN = 0.1
+# A gap between events longer than this, in seconds, logs a warning.
+MAX_GAP = 10.0
 
 
 @dataclass
@@ -51,8 +53,6 @@ class FilterConfig:
     tdoa_model: object = dc_field(default_factory=lambda: DEFAULT_UWB_MODEL)
     aoa_model: object = dc_field(default_factory=lambda: GaussianModel(0.0, 0.1))
     bssd_gmm: GmmModel = DEFAULT_BSSD_GMM
-    max_gap: float = 10.0
-    recenter_enabled: bool = True
 
 
 # Deterministic ordering for events sharing a timestamp.
@@ -75,8 +75,6 @@ def _check_config(cfg: FilterConfig, radius: float, cell_size: float) -> None:
         value = getattr(cfg, name)
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if not cfg.max_gap > 0:
-        raise ValueError(f"max_gap must be > 0, got {cfg.max_gap}")
     check_radius(radius, cell_size)
 
 
@@ -144,9 +142,10 @@ class FusionEngine:
         """The zero-order-held odometry's step over ``dt``, or a random walk
         before any odometry arrived."""
         m, cfg = self.motion, self.config
-        speed, heading = (None, None) if m is None else (m.speed, m.heading)
-        return Transition.step(MotionInput(speed, heading, cfg.sigma_speed,
-                                           cfg.sigma_heading, dt, cfg.sigma_rw))
+        if m is None:
+            return Transition.random_walk(dt, cfg.sigma_rw)
+        return Transition.odometry(m.speed, m.heading, dt, cfg.sigma_speed,
+                                   cfg.sigma_heading)
 
     def _apply_pending(self) -> None:
         """Predict the field through the pending transition, in one convolution."""
@@ -214,9 +213,9 @@ class FusionEngine:
             return None
         reinits = self.reinit_count
         dt = 0.0 if self.last_timestamp is None else obs.timestamp - self.last_timestamp
-        if dt > self.config.max_gap:
+        if dt > MAX_GAP:
             log.warning("gap > %.1f s before t=%.3f; reinitialization recommended",
-                        self.config.max_gap, obs.timestamp)
+                        MAX_GAP, obs.timestamp)
         self.last_timestamp = obs.timestamp
         if dt > 0.0:
             step = self._step(dt)
@@ -230,7 +229,7 @@ class FusionEngine:
         self._reinit_on_collapse(lambda: self._update(obs))
         est = estimate(self.field, self.estimate_radius, obs.timestamp)
         self.estimates.append(est)
-        if self.config.recenter_enabled and self.reinit_count == reinits:
+        if self.reinit_count == reinits:
             self._maybe_recenter(est)
         return est
 

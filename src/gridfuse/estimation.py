@@ -57,15 +57,6 @@ def _weighted_mean_and_support(field: LikelihoodField, center: int,
     return (mass[:, None] * pos).sum(axis=0) / mass.sum(), mass.size
 
 
-def weighted_mean(field: LikelihoodField, center: int, radius: float) -> np.ndarray:
-    """Mass-weighted centroid of cells within ``radius`` of ``center``, the
-    MAP cell (so the neighbourhood holds mass).
-
-    Returns a 3-vector whose z is the grid plane height.
-    """
-    return _weighted_mean_and_support(field, center, radius)[0]
-
-
 def estimate(field: LikelihoodField, radius: float,
              timestamp: float = 0.0) -> Estimate:
     """Two-step estimate: MAP, then weighted mean over the MAP neighborhood."""

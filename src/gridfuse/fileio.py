@@ -161,16 +161,6 @@ def grid_from_json(doc: dict) -> GridSpec:
         raise DataFormatError(f"bad grid document: {exc}") from exc
 
 
-def _anchor_to_json(a: ReferencePoint) -> dict:
-    return {"id": a.id, "position": list(a.position)}
-
-
-def _anchors_from_json(docs) -> tuple[ReferencePoint, ...]:
-    for a in docs:
-        _check_keys(a, ("id", "position"), "anchor")
-    return tuple(ReferencePoint(a["id"], a["position"]) for a in docs)
-
-
 def _satellite_from_json(doc: dict) -> SatelliteSpec:
     return _build(SatelliteSpec, doc, position=tuple,
                   visibility=lambda v: tuple(bool(x) for x in v))
@@ -180,7 +170,7 @@ def scenario_to_json(s: Scenario) -> dict:
     return {
         "schema": SCENARIO_SCHEMA,
         "grid": grid_to_json(s.grid),
-        "anchors": [_anchor_to_json(a) for a in s.anchors],
+        "anchors": [_fields_to_json(a) for a in s.anchors],
         "satellites": [_fields_to_json(sat) for sat in s.satellites],
         "trajectory": _fields_to_json(s.trajectory),
         "duration": s.duration,
@@ -204,7 +194,7 @@ def scenario_from_json(doc: dict) -> Scenario:
             {**body, "gnss_rate": rates["gnss"], "uwb_rate": rates["uwb"],
              "odometry_rate": rates["odometry"]},
             grid=grid_from_json,
-            anchors=_anchors_from_json,
+            anchors=lambda docs: tuple(_build(ReferencePoint, d) for d in docs),
             satellites=lambda docs: tuple(map(_satellite_from_json, docs)),
             trajectory=lambda d: _build(Trajectory, d, position=tuple,
                                         center=tuple),
@@ -216,9 +206,13 @@ def scenario_from_json(doc: dict) -> Scenario:
 
 
 _FILTER_SCALARS = ("combine_mode", "estimate_radius", "sigma_speed",
-                   "sigma_heading", "sigma_rw", "max_gap", "recenter_enabled")
+                   "sigma_heading", "sigma_rw")
 _FILTER_MODELS = ("range_model", "tdoa_model", "aoa_model", "bssd_gmm")
-_FILTER_KEYS = ("schema", "grid", "anchors", *_FILTER_SCALARS, *_FILTER_MODELS)
+# Earlier writers also stored the gap warning's threshold, now fixed, and
+# whether the grid recenters, which it now always does.
+_FILTER_LEGACY = ("max_gap", "recenter_enabled")
+_FILTER_KEYS = ("schema", "grid", "anchors", *_FILTER_SCALARS, *_FILTER_MODELS,
+                *_FILTER_LEGACY)
 
 
 def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
@@ -226,7 +220,7 @@ def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
     return {
         "schema": FILTER_SCHEMA,
         "grid": grid_to_json(grid),
-        "anchors": [_anchor_to_json(a) for a in anchors],
+        "anchors": [_fields_to_json(a) for a in anchors],
         **{k: getattr(cfg, k) for k in _FILTER_SCALARS},
         **{k: model_to_json(getattr(cfg, k)) for k in _FILTER_MODELS},
     }
@@ -234,15 +228,20 @@ def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
 
 def filter_config_from_json(doc: dict):
     """Returns (FilterConfig, GridSpec, anchors); the models are required, and
-    ``bssd_gmm`` must be a mixture that ``bssd_routes`` can route."""
+    ``bssd_gmm`` must be a mixture that ``bssd_routes`` can route. A legacy
+    ``max_gap`` is ignored; a legacy ``recenter_enabled`` must be true."""
     _check_schema(doc, FILTER_SCHEMA)
     _check_keys(doc, _FILTER_KEYS, "filter config")
+    if doc.get("recenter_enabled", True) is not True:
+        raise DataFormatError("bad filter config: the grid always recenters, "
+                              f"got recenter_enabled {doc['recenter_enabled']!r}")
     try:
         cfg = FilterConfig(
             **{k: doc[k] for k in _FILTER_SCALARS if k in doc},
             **{k: model_from_json(doc[k]) for k in _FILTER_MODELS})
         bssd_routes(cfg.bssd_gmm)
-        return cfg, grid_from_json(doc["grid"]), _anchors_from_json(doc["anchors"])
+        anchors = tuple(_build(ReferencePoint, d) for d in doc["anchors"])
+        return cfg, grid_from_json(doc["grid"]), anchors
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad filter config: {exc}") from exc
 

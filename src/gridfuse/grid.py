@@ -15,6 +15,12 @@ class DegenerateFieldError(ValueError):
     """Raised when a likelihood field carries no usable mass (all zero / non-finite)."""
 
 
+def check_cell_size(cell_size: float) -> None:
+    """A lattice spacing is finite and > 0 (NaN is neither)."""
+    if not (np.isfinite(cell_size) and cell_size > 0):
+        raise ValueError(f"cell_size must be finite and > 0, got {cell_size}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned, equidistant 2D lattice of position hypotheses.
@@ -35,8 +41,7 @@ class GridSpec:
                    for v in self.extent):
             raise ValueError(f"extent entries must be integers, got {self.extent}")
         object.__setattr__(self, "extent", tuple(int(v) for v in self.extent))
-        if not (np.isfinite(self.cell_size) and self.cell_size > 0):
-            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
+        check_cell_size(self.cell_size)
         if len(self.origin) != 2 or len(self.extent) != 2:
             raise ValueError("grid must be 2D: origin and extent take two entries")
         if any(e < 2 for e in self.extent):
@@ -56,10 +61,6 @@ class GridSpec:
 
     def coords_to_index(self, coords):
         return np.ravel_multi_index(coords, self.extent)
-
-    def index_to_position(self, index) -> np.ndarray:
-        coords = np.stack(self.index_to_coords(index), axis=-1)
-        return np.asarray(self.origin) + coords * self.cell_size
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis coordinate vectors (x of each row, y of each column). The

@@ -275,6 +275,8 @@ def fit_gmm(residuals, n_components: int, seed: int = 0) -> GmmModel:
     empty components); after ``EM_MAX_RESTARTS`` failures raises
     CalibrationFailureError.
     """
+    if n_components < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
     x = np.asarray(residuals, dtype=float).ravel()
     if len(x) < 10 * n_components:
         raise ValueError(

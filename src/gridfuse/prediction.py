@@ -29,34 +29,14 @@ _KERNEL_VARIANCE = 0.25
 _TRUNCATION = 6.0  # sigma, Mahalanobis
 
 
-@dataclass(frozen=True)
-class MotionInput:
-    """Odometry information for one prediction horizon.
-
-    speed/heading may be None when that channel is unavailable: without
-    heading the motion is isotropic at the given speed, without both the
-    prediction falls back to a random walk of scale sigma_rw * dt.
-    """
-
-    speed: float | None
-    heading: float | None
-    sigma_speed: float = 0.5
-    sigma_heading: float = 0.2
-    dt: float = 1.0
-    sigma_rw: float = 1.0
-
-    def __post_init__(self):
-        # Negated range tests, so that NaN (which fails every comparison) is
-        # rejected too.
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        sigmas = (self.sigma_speed, self.sigma_heading, self.sigma_rw)
-        if not all(0 < s < math.inf for s in sigmas):
-            raise ValueError(f"motion uncertainties must be finite and > 0, got {sigmas}")
-        if self.speed is not None and not 0 <= self.speed < math.inf:
-            raise ValueError(f"speed must be finite and >= 0, got {self.speed}")
-        if self.heading is not None and not math.isfinite(self.heading):
-            raise ValueError(f"heading must be finite, got {self.heading}")
+def _check_dt_and_sigmas(dt: float, *sigmas: float) -> None:
+    """Reject a step that is not finite and > 0 or an uncertainty that is not.
+    Here and in ``Transition.odometry`` the range tests are negated, so that
+    NaN (which fails every comparison) is rejected too."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not all(0 < s < math.inf for s in sigmas):
+        raise ValueError(f"motion uncertainties must be finite and > 0, got {sigmas}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,25 +48,33 @@ class Transition:
     cov: np.ndarray
 
     @classmethod
-    def step(cls, motion: MotionInput) -> Transition:
-        """One motion step: v*dt along the heading with variance (sigma_v*dt)^2
-        along it and (v*dt*sigma_h)^2 across it; without a speed, a random walk
-        of variance (sigma_rw*dt)^2 per axis. Python floats overflow silently."""
-        if motion.speed is None:
-            s = motion.sigma_rw * motion.dt
-            return cls(np.zeros(2), np.diag([s * s, s * s]))
-        if motion.heading is None:
-            raise ValueError("a speed without a heading is not a Gaussian step")
-        d = motion.speed * motion.dt
-        c, s = math.cos(motion.heading), math.sin(motion.heading)
-        along = motion.sigma_speed * motion.dt
+    def odometry(cls, speed: float, heading: float, dt: float,
+                 sigma_speed: float, sigma_heading: float) -> Transition:
+        """One odometry step: speed*dt along the heading with variance
+        (sigma_speed*dt)^2 along it and (speed*dt*sigma_heading)^2 across it.
+        Python floats overflow silently."""
+        _check_dt_and_sigmas(dt, sigma_speed, sigma_heading)
+        if not 0 <= speed < math.inf:
+            raise ValueError(f"speed must be finite and >= 0, got {speed}")
+        if not math.isfinite(heading):
+            raise ValueError(f"heading must be finite, got {heading}")
+        d = speed * dt
+        c, s = math.cos(heading), math.sin(heading)
+        along = sigma_speed * dt
         along *= along
-        across = d * motion.sigma_heading
+        across = d * sigma_heading
         across *= across
         xy = c * s * (along - across)
         return cls(np.array([d * c, d * s]),
                    np.array([[c * c * along + s * s * across, xy],
                              [xy, s * s * along + c * c * across]]))
+
+    @classmethod
+    def random_walk(cls, dt: float, sigma_rw: float) -> Transition:
+        """A zero-mean step of variance (sigma_rw*dt)^2 per axis."""
+        _check_dt_and_sigmas(dt, sigma_rw)
+        s = sigma_rw * dt
+        return cls(np.zeros(2), np.diag([s * s, s * s]))
 
     def then(self, other: Transition) -> Transition:
         """This displacement followed by ``other``: the moments add."""
@@ -128,15 +116,6 @@ class TransitionWorkspace:
             q = dy * dy / syy + (dx - rho * dy) ** 2 / vx
         return np.where(q <= _TRUNCATION ** 2, np.exp(-0.5 * q), 0.0)
 
-    def _ring_kernel(self, motion: MotionInput) -> np.ndarray:
-        """N(v*dt - |d|; 0, (sigma_v*dt)^2) over the window: a speed without a
-        heading spreads the mass over a ring of radius v*dt."""
-        sigma = motion.sigma_speed * motion.dt
-        travel = motion.speed * motion.dt
-        d = self._offsets(travel + _TRUNCATION * sigma)
-        with np.errstate(over="ignore"):
-            return np.exp(-0.5 * ((travel - np.hypot.outer(d, d)) / sigma) ** 2)
-
 
 def _convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The linear convolution of ``grid`` with ``kernel``, as a view of the
@@ -152,22 +131,15 @@ def _convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                       for n, k in zip(grid.shape, kernel.shape))]
 
 
-def predict(posterior: LikelihoodField, transition: Transition | MotionInput,
+def predict(posterior: LikelihoodField, transition: Transition,
             ws: TransitionWorkspace) -> LikelihoodField:
-    """Propagate the posterior through a transition (or one motion step) and
-    normalize.
+    """Propagate the posterior through a transition and normalize.
 
     Every source-to-target transition likelihood is weighted by the source
     cell's mass (a Chapman-Kolmogorov step), as one FFT convolution of the
     field with the kernel. FFT rounding leaves tiny negative values, which are
-    clipped to 0. A speed without a heading spreads the mass over a ring; a
-    zero kernel collapses the field (``DegenerateFieldError``).
+    clipped to 0. A zero kernel collapses the field (``DegenerateFieldError``).
     """
-    if isinstance(transition, Transition):
-        kernel = ws.transition_kernel(transition)
-    elif transition.speed is not None and transition.heading is None:
-        kernel = ws._ring_kernel(transition)
-    else:
-        kernel = ws.transition_kernel(Transition.step(transition))
+    kernel = ws.transition_kernel(transition)
     pred = _convolve_same(posterior.mass.reshape(posterior.spec.extent), kernel)
     return LikelihoodField(posterior.spec, np.maximum(pred, 0.0).ravel())

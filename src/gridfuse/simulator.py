@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .geometry import ReferencePoint, wrap_angle
-from .grid import GridSpec
+from .grid import GridSpec, check_cell_size
 from .observations import (LOS, NLOS, GnssPseudoranges, Observation, Odometry,
                            Range, SatelliteObservation)
 
@@ -239,6 +239,7 @@ def make_static_scenario(n_epochs: int = 500, cell_size: float = 0.2,
                          nlos_sat_ids: tuple[str, ...] = (),
                          **overrides) -> Scenario:
     """Fixed pose; n_epochs counts GNSS + UWB measurement epochs combined."""
+    check_cell_size(cell_size)
     half = extent_m / 2.0
     n_cells = int(round(extent_m / cell_size))
     grid = GridSpec((-half, -half), cell_size, (n_cells, n_cells))
@@ -267,6 +268,7 @@ def make_dynamic_scenario(n_gnss_epochs: int = 706, cell_size: float = 0.2,
     Defaults model the harsher driving environment: sparse UWB coverage (one
     polled anchor per epoch), noisier odometry and a partially shadowed sky.
     """
+    check_cell_size(cell_size)
     overrides.setdefault("uwb_noise", UwbNoiseConfig(anchors_per_epoch=1))
     overrides.setdefault("odometry_noise",
                          OdometryNoiseConfig(sigma_speed=0.5, sigma_heading=0.2))

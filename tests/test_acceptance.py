@@ -21,7 +21,7 @@ from gridfuse.noise import GaussianModel, GmmModel, sample
 from gridfuse.observations import (LOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
-from gridfuse.prediction import MotionInput, TransitionWorkspace, predict
+from gridfuse.prediction import Transition, TransitionWorkspace, predict
 from gridfuse.simulator import (generate, make_dynamic_scenario,
                                 make_static_scenario)
 from gridfuse.update import (PRODUCT, likelihood_range, update_aoa,
@@ -92,8 +92,8 @@ def test_01_normalization_thousand_steps():
                 for k, p in enumerate(sats)))
             field = update_gnss_bssd(field, obs, gmm)
         else:
-            motion = MotionInput(rng.uniform(0.1, 3.0),
-                                 rng.uniform(-np.pi, np.pi), dt=1.0)
+            motion = Transition.odometry(rng.uniform(0.1, 3.0),
+                                         rng.uniform(-np.pi, np.pi), 1.0, 0.5, 0.2)
             field = predict(field, motion, ws)
         worst = max(worst, abs(float(field.mass.sum()) - 1.0))
     report(1, "normalization over 1000 mixed steps", worst < 1e-9,
@@ -128,7 +128,7 @@ def test_02_oracle_equivalence_hundred_updates():
             return np.asarray(vals)
 
         def cell_xyz(i):
-            x, y = spec.index_to_position(i)
+            x, y = spec.positions()[i]
             return np.array([x, y, spec.plane_height])
 
         # anchor measurements are drawn near an attainable value so the
@@ -266,32 +266,28 @@ def test_08_prediction_properties():
     mass[center] = 1.0
     point = LikelihoodField(spec, mass)
 
-    still = predict(point, MotionInput(0.0, 0.3, dt=1.0), ws)
+    def odometry(speed, heading):
+        return Transition.odometry(speed, heading, 1.0, 0.5, 0.2)
+
+    still = predict(point, odometry(0.0, 0.3), ws)
     identity_ok = int(np.argmax(still.mass)) == center
 
-    ring = predict(point, MotionInput(4.0, None, sigma_speed=0.2, dt=1.0), ws)
-    ring_d = np.linalg.norm(spec.positions()[int(np.argmax(ring.mass))]
-                            - spec.positions()[center])
-    ring_ok = abs(ring_d - 4.0) <= spec.cell_size
-
-    east = predict(point, MotionInput(3.0, 0.0, dt=1.0), ws).mass.reshape(spec.extent)
-    north = predict(point, MotionInput(3.0, math.pi / 2.0, dt=1.0),
-                    ws).mass.reshape(spec.extent)
+    east = predict(point, odometry(3.0, 0.0), ws).mass.reshape(spec.extent)
+    north = predict(point, odometry(3.0, math.pi / 2.0), ws).mass.reshape(spec.extent)
     rotation_ok = bool(np.allclose(north, np.rot90(east), atol=1e-12))
 
     two = np.zeros(spec.num_cells)
     two[spec.coords_to_index((4, 4))] = 0.5
     two[spec.coords_to_index((16, 16))] = 0.5
     spread = predict(LikelihoodField(spec, two),
-                     MotionInput(None, None, sigma_rw=0.8, dt=1.0),
+                     Transition.random_walk(1.0, 0.8),
                      ws).mass.reshape(spec.extent)
     bimodal_ok = (spread[4, 4] > 5.0 * spread[10, 10]
                   and spread[16, 16] > 5.0 * spread[10, 10])
 
-    ok = identity_ok and ring_ok and rotation_ok and bimodal_ok
-    report(8, "prediction invariants (identity, ring, rotation, bimodality)", ok,
-           f"identity={identity_ok} ring={ring_ok} "
-           f"rotation={rotation_ok} bimodal={bimodal_ok}")
+    ok = identity_ok and rotation_ok and bimodal_ok
+    report(8, "prediction invariants (identity, rotation, bimodality)", ok,
+           f"identity={identity_ok} rotation={rotation_ok} bimodal={bimodal_ok}")
 
 
 def test_09_multirate_bookkeeping():
@@ -300,8 +296,7 @@ def test_09_multirate_bookkeeping():
         [(-9.0, -9.0, 2.0), (9.0, -9.0, 2.0), (0.0, 9.0, 2.0)])]
     truth = np.array([1.0, 2.0, 0.0])
     model = GaussianModel(0.0, 1.0)
-    cfg = FilterConfig(combine_mode="product", recenter_enabled=False,
-                       range_model=model)
+    cfg = FilterConfig(combine_mode="product", range_model=model)
 
     # synchronous batch: three ranges sharing one timestamp, product mode
     engine = FusionEngine(spec, anchors, cfg)

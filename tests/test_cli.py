@@ -1,15 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gridfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from gridfuse.engine import FilterConfig
-from gridfuse.fileio import (OBS_HEADER, dump_json, filter_config_to_json,
-                             read_estimates, read_gmm, scenario_to_json,
-                             write_residuals)
+from gridfuse.fileio import (OBS_HEADER, DataFormatError, dump_json,
+                             filter_config_from_json, filter_config_to_json,
+                             load_json, read_estimates, read_gmm, scenario_to_json,
+                             write_observations, write_residuals)
 from gridfuse.noise import GmmModel, sample
-from gridfuse.simulator import make_static_scenario
+from gridfuse.simulator import generate, make_static_scenario
 
 from model_cases import NO_FINITE_DENSITY, as_json
+
+# See test_fileio: a demo filter file holding ``max_gap`` and ``recenter_enabled``.
+FILTER_V1 = Path(__file__).parent / "data" / "filter_v1.json"
 
 
 def write_scenario(path, **kwargs):
@@ -171,6 +177,57 @@ def test_calibrate_too_few_samples_exits_2(tmp_path, capsys):
     assert main(["calibrate", "--residuals", str(resid_path),
                  "--components", "4", "--out", str(tmp_path / "g.json")]) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("components", ["0", "-1"])
+def test_calibrate_without_a_component_exits_2(tmp_path, capsys, components):
+    resid_path = tmp_path / "resid.csv"
+    write_residuals(np.arange(100.0), resid_path)
+    assert main(["calibrate", "--residuals", str(resid_path), "--components",
+                 components, "--out", str(tmp_path / "g.json")]) == EXIT_DATA
+    assert "n_components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_res", ["0", "-0.5", "nan"])
+def test_demo_with_a_bad_cell_size_exits_2(tmp_path, capsys, grid_res):
+    assert main(["demo", "--out", str(tmp_path / "demo"),
+                 "--grid-res", grid_res]) == EXIT_DATA
+    assert "cell_size must be finite and > 0" in capsys.readouterr().err
+
+
+def _demo_static_inputs(tmp_path):
+    """The demo's static observations and the filter file the current writer
+    gives for them, as ``gridfuse demo --seed 42`` writes both."""
+    scenario = make_static_scenario(n_epochs=60, cell_size=0.5, seed=42)
+    write_observations(generate(scenario)[0], tmp_path / "obs.csv")
+    dump_json(filter_config_to_json(FilterConfig(), scenario.grid, scenario.anchors),
+              tmp_path / "filter.json")
+    return tmp_path / "obs.csv", tmp_path / "filter.json"
+
+
+def test_v1_filter_file_gives_the_current_file_estimates(tmp_path, capsys):
+    obs, current = _demo_static_inputs(tmp_path)
+    for config, out in ((FILTER_V1, "v1"), (current, "current")):
+        assert main(["filter", "--config", str(config), "--observations", str(obs),
+                     "--out", str(tmp_path / out)]) == EXIT_OK
+    assert ((tmp_path / "v1" / "estimates.csv").read_bytes()
+            == (tmp_path / "current" / "estimates.csv").read_bytes())
+    capsys.readouterr()
+
+
+def test_v1_filter_file_without_recentering_exits_2(tmp_path, capsys):
+    """The grid always recenters, so a file asking it not to cannot run as
+    it asks."""
+    obs, _ = _demo_static_inputs(tmp_path)
+    doc = load_json(FILTER_V1)
+    doc["recenter_enabled"] = False
+    with pytest.raises(DataFormatError, match="recenter"):
+        filter_config_from_json(doc)
+    dump_json(doc, tmp_path / "no_recenter.json")
+    assert main(["filter", "--config", str(tmp_path / "no_recenter.json"),
+                 "--observations", str(obs), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert "recenter_enabled" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_demo_deterministic_outputs(tmp_path, capsys):

@@ -14,7 +14,7 @@ from gridfuse.noise import GaussianModel, GmmModel
 from gridfuse.observations import (LOS, NLOS, Angle, GnssPseudoranges, Observation,
                                    Odometry, Range, RangeDifference,
                                    SatelliteObservation)
-from gridfuse.prediction import MotionInput, Transition, TransitionWorkspace, predict
+from gridfuse.prediction import Transition, TransitionWorkspace, predict
 from gridfuse.simulator import generate, make_dynamic_scenario
 from gridfuse.update import PRODUCT, SUM, update_range
 
@@ -56,7 +56,7 @@ def test_out_of_sequence_rejected():
 
 
 def test_gap_flags_reinit_recommended(caplog):
-    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(max_gap=10.0))
+    eng = FusionEngine(SPEC, ANCHORS)
     eng.step(range_obs(0.0, ANCHORS[0]))
     eng.step(range_obs(5.0, ANCHORS[1]))
     assert "reinitialization recommended" not in caplog.text
@@ -79,8 +79,6 @@ BAD_CONFIGS = {
     "sigma_heading_inf": dict(sigma_heading=math.inf),
     "sigma_heading_negative": dict(sigma_heading=-0.2),
     "sigma_rw_nan": dict(sigma_rw=math.nan),
-    "max_gap_nan": dict(max_gap=math.nan),
-    "max_gap_zero": dict(max_gap=0.0),
     "radius_nan": dict(estimate_radius=math.nan),
     "radius_below_cell": dict(estimate_radius=0.5 * SPEC.cell_size),
     "radius_negative_inf": dict(estimate_radius=-math.inf),
@@ -143,7 +141,7 @@ def test_odometry_only_stream_emits_no_estimates():
 
 
 def test_positioning_event_counting():
-    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
+    eng = FusionEngine(SPEC, ANCHORS)
     events = ([gnss_obs(float(k + 1)) for k in range(4)]
               + [range_obs(k + 0.5, ANCHORS[k % 3]) for k in range(6)]
               + [Observation(k + 0.25, Odometry(0.0, 0.0)) for k in range(6)])
@@ -154,8 +152,7 @@ def test_positioning_event_counting():
 
 def test_same_timestamp_batch_matches_joint_product_update():
     """Zero time between events: sequential product updates == one joint update."""
-    cfg = FilterConfig(combine_mode="product", recenter_enabled=False,
-                       range_model=GaussianModel(0.0, 1.0))
+    cfg = FilterConfig(combine_mode="product", range_model=GaussianModel(0.0, 1.0))
     eng = FusionEngine(SPEC, ANCHORS, cfg)
     t = 1.0
     for a in ANCHORS:
@@ -321,7 +318,7 @@ def test_invalid_events_leave_no_trace(clean_run, inserts, rnd, by_step):
 def test_prediction_collapse_reinitializes():
     """A motion kernel with no cell within 6 sigma of its mean restarts the
     posterior uniform, and the event's own update still applies."""
-    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
+    eng = FusionEngine(SPEC, ANCHORS)
     rng = range_obs(0.5, ANCHORS[0])
     ests = eng.run([Observation(0.1, Odometry(100.0, 0.0)), rng])
     assert eng.reinit_count == 1 and len(ests) == 1
@@ -337,7 +334,7 @@ def test_collapse_applying_pending_kernel_reinitializes():
     field, counted and without a warning, and still updates; a stream that
     ends in such odometry ends uniform."""
     for speed, heading in ((1000.0, 0.0), (1e200, 0.3)):
-        eng = FusionEngine(SPEC, ANCHORS, FilterConfig(recenter_enabled=False))
+        eng = FusionEngine(SPEC, ANCHORS)
         fix = range_obs(0.5, ANCHORS[0])
         eng.run([range_obs(0.1, ANCHORS[1]), Observation(0.2, Odometry(speed, heading)),
                  Observation(0.3, Odometry(speed, heading)), fix])
@@ -382,8 +379,7 @@ def test_huge_finite_values_collapse_without_warning(kind, mode):
     reinitialises, counted; none raises a numpy warning, and the field stays
     finite and normalised."""
     make, reinits = HUGE_EVENTS[kind]
-    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(combine_mode=mode,
-                                                   recenter_enabled=False))
+    eng = FusionEngine(SPEC, ANCHORS, FilterConfig(combine_mode=mode))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ests = eng.run([range_obs(0.5, ANCHORS[0]), make(1.0)])
@@ -397,7 +393,7 @@ def test_run_ending_in_odometry_predicts_to_last_timestamp():
     """``run`` applies the transition still pending after the last fix, so the
     field is one prediction through the composed steps to the last event's
     time."""
-    cfg = FilterConfig(range_model=GaussianModel(0.0, 0.3), recenter_enabled=False)
+    cfg = FilterConfig(range_model=GaussianModel(0.0, 0.3))
     fixes = [range_obs(0.1 * (k + 1), ANCHORS[k % 3]) for k in range(6)]
     odometry = [Observation(0.7, Odometry(2.0, 0.5)),
                 Observation(0.9, Odometry(1.0, -0.4))]
@@ -407,10 +403,9 @@ def test_run_ending_in_odometry_predicts_to_last_timestamp():
     assert eng.run(fixes + odometry) == at_last_fix.estimates
     assert eng.last_timestamp == 0.9 and eng.pending is None
 
-    random_walk = MotionInput(None, None, cfg.sigma_speed, cfg.sigma_heading, 0.1,
-                              cfg.sigma_rw)
-    moving = MotionInput(2.0, 0.5, cfg.sigma_speed, cfg.sigma_heading, 0.2, cfg.sigma_rw)
-    pending = Transition.step(random_walk).then(Transition.step(moving))
+    random_walk = Transition.random_walk(0.1, cfg.sigma_rw)
+    moving = Transition.odometry(2.0, 0.5, 0.2, cfg.sigma_speed, cfg.sigma_heading)
+    pending = random_walk.then(moving)
     expected = predict(at_last_fix.field, pending, TransitionWorkspace(SPEC)).mass
     assert not np.allclose(eng.field.mass, at_last_fix.field.mass)
     assert np.max(np.abs(eng.field.mass - expected)) <= 1e-12 * expected.max()
@@ -425,8 +420,7 @@ def test_step_rejects_unknown_anchor():
 
 
 def test_likelihood_collapse_reinitializes():
-    cfg = FilterConfig(combine_mode="product", recenter_enabled=False,
-                       range_model=GaussianModel(0.0, 1e-3))
+    cfg = FilterConfig(combine_mode="product", range_model=GaussianModel(0.0, 1e-3))
     eng = FusionEngine(SPEC, ANCHORS, cfg)
     # measured range 1000 sigma away from every cell: product collapses to zero
     est = eng.step(Observation(0.0, Range("A1", 1000.0)))
@@ -447,8 +441,7 @@ def test_reinit_step_does_not_recenter():
 
 def test_converges_near_truth_with_noiseless_ranges():
     eng = FusionEngine(SPEC, ANCHORS,
-                       FilterConfig(range_model=GaussianModel(0.0, 0.3),
-                                    recenter_enabled=False))
+                       FilterConfig(range_model=GaussianModel(0.0, 0.3)))
     ests = eng.run([range_obs(0.1 * (k + 1), ANCHORS[k % 3]) for k in range(12)])
     final = np.asarray(ests[-1].position)
     assert np.linalg.norm(final - TRUTH) <= SPEC.cell_size
@@ -475,8 +468,7 @@ def test_recenter_keeps_map_in_world_frame():
 
 def test_zero_order_hold_motion_drives_prediction():
     eng = FusionEngine(SPEC, ANCHORS,
-                       FilterConfig(range_model=GaussianModel(0.0, 0.2),
-                                    recenter_enabled=False))
+                       FilterConfig(range_model=GaussianModel(0.0, 0.2)))
     for k in range(9):
         eng.step(range_obs(0.1 * (k + 1), ANCHORS[k % 3]))
     before = np.asarray(eng.estimates[-1].position)

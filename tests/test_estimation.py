@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfuse.estimation import Estimate, estimate, map_estimate, weighted_mean
+from gridfuse.estimation import Estimate, estimate, map_estimate
 from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
 
 
@@ -25,7 +25,7 @@ def test_weighted_mean_hand_example():
     mass[spec.coords_to_index((1, 1))] = 0.6
     mass[spec.coords_to_index((2, 1))] = 0.4
     field = LikelihoodField(spec, mass)
-    wm = weighted_mean(field, map_estimate(field), radius=2.0)
+    wm = estimate(field, radius=2.0).position
     assert np.allclose(wm, [1.4, 1.0, 0.0])
 
 
@@ -35,7 +35,7 @@ def test_weighted_mean_radius_excludes_far_mass():
     mass[spec.coords_to_index((4, 4))] = 0.7
     mass[spec.coords_to_index((8, 8))] = 0.3  # ~5.66 m away from the mode
     field = LikelihoodField(spec, mass)
-    wm = weighted_mean(field, map_estimate(field), radius=2.0)
+    wm = estimate(field, radius=2.0).position
     assert np.allclose(wm, [4.0, 4.0, 0.0])
 
 
@@ -43,7 +43,7 @@ def test_weighted_mean_infinite_radius_is_global_centroid():
     spec = GridSpec((0, 0), 0.5, (10, 10))
     rng = np.random.default_rng(0)
     field = LikelihoodField(spec, rng.random(100))
-    wm = weighted_mean(field, map_estimate(field), radius=np.inf)
+    wm = estimate(field, radius=np.inf).position
     expected = (field.mass[:, None] * spec.positions()).sum(axis=0)
     assert np.allclose(wm, [*expected, 0.0], atol=1e-12)
 
@@ -51,7 +51,7 @@ def test_weighted_mean_infinite_radius_is_global_centroid():
 def test_weighted_mean_small_radius_raises():
     spec = GridSpec((0, 0), 1.0, (4, 4))
     with pytest.raises(ValueError):
-        weighted_mean(init_uniform(spec), 0, radius=0.5)
+        estimate(init_uniform(spec), radius=0.5)
 
 
 def test_estimate_scale_invariance():
@@ -91,7 +91,7 @@ def test_subcell_refinement_beats_map():
         field = LikelihoodField(spec, np.exp(-0.5 * d2 / 1.5 ** 2))
         cell = map_estimate(field)
         map_err = np.linalg.norm(pos[cell] - truth)
-        wm_err = np.linalg.norm(weighted_mean(field, cell, radius=5.0) - truth)
+        wm_err = np.linalg.norm(estimate(field, radius=5.0).position - truth)
         if wm_err <= map_err:
             wins += 1
     assert wins >= 80

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,11 @@ from gridfuse.simulator import Trajectory, generate, make_static_scenario
 from gridfuse.update import bssd_routes
 
 from model_cases import NO_FINITE_DENSITY, as_json
+
+# A filter file written by ``gridfuse demo --seed 42`` before the gap warning's
+# threshold was fixed and recentering became unconditional: it still holds
+# ``max_gap`` and ``recenter_enabled``.
+FILTER_V1 = Path(__file__).parent / "data" / "filter_v1.json"
 
 
 def test_model_json_round_trip():
@@ -191,7 +199,7 @@ def test_estimates_round_trip(tmp_path):
 
 def test_filter_config_round_trip():
     cfg = FilterConfig(combine_mode="product", estimate_radius=2.5,
-                       sigma_speed=0.7, max_gap=20.0, recenter_enabled=False)
+                       sigma_speed=0.7, sigma_heading=0.3)
     spec = GridSpec((0, 0), 0.5, (10, 10))
     from gridfuse.geometry import ReferencePoint
     anchors = (ReferencePoint("A1", (1.0, 2.0, 3.0)),)
@@ -200,8 +208,7 @@ def test_filter_config_round_trip():
     assert spec2 == spec and anchors2 == anchors
     assert cfg2.combine_mode == "product"
     assert cfg2.estimate_radius == 2.5
-    assert cfg2.sigma_speed == 0.7 and cfg2.max_gap == 20.0
-    assert not cfg2.recenter_enabled
+    assert cfg2.sigma_speed == 0.7 and cfg2.sigma_heading == 0.3
     assert cfg2.range_model == cfg.range_model
     assert cfg2.bssd_gmm == cfg.bssd_gmm == DEFAULT_BSSD_GMM
 
@@ -270,12 +277,12 @@ def test_filter_config_required_keys_only_takes_defaults():
     required = ("schema", "grid", "anchors", "range_model", "tdoa_model",
                 "aoa_model", "bssd_gmm")
     doc = filter_config_to_json(FilterConfig(combine_mode="product",
-                                             sigma_rw=3.0, max_gap=1.0),
+                                             sigma_rw=3.0, sigma_speed=1.0),
                                 GridSpec((0, 0), 0.5, (10, 10)), ())
     cfg, _, _ = filter_config_from_json({k: doc[k] for k in required})
     default = FilterConfig()
     for name in ("combine_mode", "estimate_radius", "sigma_speed",
-                 "sigma_heading", "sigma_rw", "max_gap", "recenter_enabled"):
+                 "sigma_heading", "sigma_rw"):
         assert getattr(cfg, name) == getattr(default, name), name
     for name in required[3:]:
         with pytest.raises(DataFormatError):
@@ -292,6 +299,20 @@ def test_filter_config_rejects_unknown_keys(section):
     target["sigma_sped"] = 3.0
     with pytest.raises(DataFormatError, match="'sigma_sped'"):
         filter_config_from_json(doc)
+
+
+def test_v1_filter_file_reads_as_the_current_writer_file():
+    """The v1 file differs from what the writer gives for the demo's static
+    grid and anchors only by the two keys it no longer writes, and it reads to
+    the same configuration."""
+    scenario = make_static_scenario(n_epochs=60, cell_size=0.5, seed=42)
+    current = json.loads(json.dumps(filter_config_to_json(
+        FilterConfig(), scenario.grid, scenario.anchors)))
+    v1 = load_json(FILTER_V1)
+    assert v1.pop("max_gap") == 10.0 and v1.pop("recenter_enabled") is True
+    assert v1 == current
+    assert (filter_config_from_json(load_json(FILTER_V1))
+            == filter_config_from_json(current))
 
 
 def test_gmm_file_round_trip(tmp_path):

@@ -27,8 +27,7 @@ def test_distance_matches_scalar_loop():
     rng = np.random.default_rng(7)
     ref = ReferencePoint("r", tuple(rng.uniform(-20, 20, 3)))
     g = gamma_distance(ref, SPEC)
-    for i in range(SPEC.num_cells):
-        x, y = SPEC.index_to_position(i)
+    for i, (x, y) in enumerate(SPEC.positions()):
         expected = math.sqrt((ref.position[0] - x) ** 2
                              + (ref.position[1] - y) ** 2
                              + (ref.position[2] - SPEC.plane_height) ** 2)
@@ -94,8 +93,7 @@ def test_angle_matches_scalar_atan2():
     rng = np.random.default_rng(11)
     ref = ReferencePoint("r", tuple(rng.uniform(-5, 12, 2)) + (0.0,))
     g = gamma_angle(ref, SPEC)
-    for i in range(SPEC.num_cells):
-        x, y = SPEC.index_to_position(i)
+    for i, (x, y) in enumerate(SPEC.positions()):
         if (ref.position[0], ref.position[1]) == (x, y):
             continue
         assert g[i] == pytest.approx(

@@ -100,9 +100,7 @@ def test_index_round_trip():
     for i in range(spec.num_cells):
         coords = spec.index_to_coords(i)
         assert spec.coords_to_index(coords) == i
-    pos = spec.index_to_position(7)
-    assert pos.shape == (2,)
-    assert np.array_equal(pos, spec.positions()[7])
+    assert np.array_equal(spec.positions()[7], [2.0 + 0.5 * 1, -3.0 + 0.5 * 2])
 
 
 def test_positions_layout():
@@ -140,7 +138,7 @@ def test_recenter_point_mass_translation():
     out = recenter(field, (2.0, 0.0))
     # world position of the mass is unchanged; its cell coords shift by -2 in x
     assert int(np.argmax(out.mass)) == out.spec.coords_to_index((3, 5))
-    assert np.allclose(out.spec.index_to_position(int(np.argmax(out.mass))), [5.0, 5.0])
+    assert np.allclose(out.spec.positions()[int(np.argmax(out.mass))], [5.0, 5.0])
 
 
 def test_recenter_uniform_stays_uniform():

@@ -223,6 +223,12 @@ def test_fit_gmm_needs_enough_samples():
         fit_gmm(np.arange(15.0), 2, seed=0)
 
 
+@pytest.mark.parametrize("n_components", [0, -1])
+def test_fit_gmm_needs_a_component(n_components):
+    with pytest.raises(ValueError, match="n_components"):
+        fit_gmm(np.arange(100.0), n_components, seed=0)
+
+
 @pytest.mark.parametrize("cls, kwargs", NO_FINITE_DENSITY.values(),
                          ids=NO_FINITE_DENSITY.keys())
 def test_models_without_a_finite_density_are_rejected(cls, kwargs):

@@ -8,11 +8,22 @@ import numpy as np
 import pytest
 
 from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
-from gridfuse.prediction import (MotionInput, Transition, TransitionWorkspace,
-                                 _convolve_same, predict)
+from gridfuse.prediction import Transition, TransitionWorkspace, _convolve_same, predict
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (21, 21))
 WS = TransitionWorkspace(SPEC)
+# The engine's default motion uncertainties.
+ODOMETRY = dict(speed=1.0, heading=0.0, dt=1.0, sigma_speed=0.5, sigma_heading=0.2)
+RANDOM_WALK = dict(dt=1.0, sigma_rw=1.0)
+
+
+def odometry(speed, heading, **kwargs):
+    return Transition.odometry(**{**ODOMETRY, "speed": speed, "heading": heading,
+                                  **kwargs})
+
+
+def random_walk(**kwargs):
+    return Transition.random_walk(**{**RANDOM_WALK, **kwargs})
 
 
 def point_mass(spec, coords):
@@ -23,37 +34,25 @@ def point_mass(spec, coords):
 
 def test_known_motion_translates_mode():
     field = point_mass(SPEC, (10, 10))
-    motion = MotionInput(speed=3.0, heading=0.0, sigma_speed=0.3,
-                         sigma_heading=0.1, dt=1.0)
+    motion = Transition.odometry(speed=3.0, heading=0.0, dt=1.0, sigma_speed=0.3,
+                                 sigma_heading=0.1)
     out = predict(field, motion, WS)
     assert tuple(np.asarray(SPEC.index_to_coords(int(np.argmax(out.mass))))) == (13, 10)
-
-
-def test_speed_only_forms_ring():
-    field = point_mass(SPEC, (10, 10))
-    motion = MotionInput(speed=4.0, heading=None, sigma_speed=0.2, dt=1.0)
-    out = predict(field, motion, WS)
-    grid = out.mass.reshape(SPEC.extent)
-    # all four cells at distance 4 carry (equal) near-max mass
-    ring = [grid[14, 10], grid[6, 10], grid[10, 14], grid[10, 6]]
-    assert np.allclose(ring, max(ring), rtol=1e-9)
-    assert min(ring) > 10.0 * grid[10, 10]
-    assert min(ring) > 10.0 * grid[12, 10]
 
 
 def test_zero_speed_keeps_mode():
     field = point_mass(SPEC, (10, 10))
     # speed 0 concentrates the translation likelihood at zero displacement
-    motion = MotionInput(speed=1e-9, heading=0.7, sigma_speed=0.2,
-                         sigma_heading=0.3, dt=1.0)
+    motion = Transition.odometry(speed=1e-9, heading=0.7, dt=1.0, sigma_speed=0.2,
+                                 sigma_heading=0.3)
     out = predict(field, motion, WS)
     assert int(np.argmax(out.mass)) == SPEC.coords_to_index((10, 10))
 
 
 def test_heading_wrap_invariance():
     field = point_mass(SPEC, (10, 10))
-    m1 = MotionInput(2.0, 1.1, dt=1.0)
-    m2 = MotionInput(2.0, 1.1 - 2.0 * math.pi, dt=1.0)
+    m1 = odometry(2.0, 1.1, dt=1.0)
+    m2 = odometry(2.0, 1.1 - 2.0 * math.pi, dt=1.0)
     out1 = predict(field, m1, WS)
     out2 = predict(field, m2, WS)
     assert np.allclose(out1.mass, out2.mass, atol=1e-12)
@@ -62,8 +61,8 @@ def test_heading_wrap_invariance():
 def test_rotation_covariance():
     """Rotating the heading by 90 degrees rotates the predicted field."""
     field = point_mass(SPEC, (10, 10))
-    east = predict(field, MotionInput(3.0, 0.0, dt=1.0), WS).mass.reshape(SPEC.extent)
-    north = predict(field, MotionInput(3.0, math.pi / 2.0, dt=1.0),
+    east = predict(field, odometry(3.0, 0.0, dt=1.0), WS).mass.reshape(SPEC.extent)
+    north = predict(field, odometry(3.0, math.pi / 2.0, dt=1.0),
                     WS).mass.reshape(SPEC.extent)
     # +x axis maps onto +y: east[i, j] == north[ rotated ]
     rotated = np.rot90(east)  # maps the +x lobe onto +y
@@ -72,7 +71,7 @@ def test_rotation_covariance():
 
 def test_random_walk_isotropic_and_centered():
     field = point_mass(SPEC, (10, 10))
-    motion = MotionInput(None, None, sigma_rw=1.5, dt=1.0)
+    motion = Transition.random_walk(dt=1.0, sigma_rw=1.5)
     out = predict(field, motion, WS).mass.reshape(SPEC.extent)
     assert np.unravel_index(np.argmax(out), SPEC.extent) == (10, 10)
     assert np.allclose(out, out.T, atol=1e-12)
@@ -84,7 +83,7 @@ def test_bimodal_posterior_stays_bimodal():
     mass[SPEC.coords_to_index((4, 4))] = 0.5
     mass[SPEC.coords_to_index((16, 16))] = 0.5
     field = LikelihoodField(SPEC, mass)
-    out = predict(field, MotionInput(None, None, sigma_rw=0.8, dt=1.0),
+    out = predict(field, Transition.random_walk(dt=1.0, sigma_rw=0.8),
                   WS).mass.reshape(SPEC.extent)
     assert out[4, 4] > 5.0 * out[10, 10]
     assert out[16, 16] > 5.0 * out[10, 10]
@@ -94,8 +93,7 @@ def test_bimodal_posterior_stays_bimodal():
 def test_prediction_normalized_and_nonnegative():
     rng = np.random.default_rng(0)
     field = LikelihoodField(SPEC, rng.random(SPEC.num_cells))
-    for motion in [MotionInput(2.0, 0.3, dt=0.5), MotionInput(1.0, None, dt=2.0),
-                   MotionInput(None, None, dt=1.0)]:
+    for motion in [odometry(2.0, 0.3, dt=0.5), random_walk(dt=1.0)]:
         out = predict(field, motion, WS)
         assert abs(out.mass.sum() - 1.0) < 1e-9
         assert np.all(out.mass >= 0.0)
@@ -110,7 +108,7 @@ def test_prediction_spreads_mass():
         m = m[m > 0]
         return float(-(m * np.log(m)).sum())
 
-    out = predict(field, MotionInput(None, None, sigma_rw=1.0, dt=1.0), WS)
+    out = predict(field, Transition.random_walk(dt=1.0, sigma_rw=1.0), WS)
     assert entropy(out.mass) >= entropy(field.mass)
 
 
@@ -118,7 +116,7 @@ def test_kernel_truncation_radius_scales_with_motion():
     """The window reaches |mean|_inf + 6 sigma_max: it grows with the travel
     and stops at the grid extent less one."""
     def radius(speed):
-        step = Transition.step(MotionInput(speed, 0.0, sigma_speed=0.1, dt=1.0))
+        step = odometry(speed, 0.0, dt=1.0, sigma_speed=0.1)
         return (WS.transition_kernel(step).shape[0] - 1) // 2
 
     slow, fast = radius(1.0), radius(8.0)
@@ -128,11 +126,13 @@ def test_kernel_truncation_radius_scales_with_motion():
 
 def test_motion_input_validation():
     with pytest.raises(ValueError):
-        MotionInput(1.0, 0.0, dt=0.0)
+        odometry(1.0, 0.0, dt=0.0)
     with pytest.raises(ValueError):
-        MotionInput(-1.0, 0.0, dt=1.0)
+        random_walk(dt=0.0)
     with pytest.raises(ValueError):
-        MotionInput(1.0, 0.0, sigma_speed=0.0, dt=1.0)
+        odometry(-1.0, 0.0, dt=1.0)
+    with pytest.raises(ValueError):
+        odometry(1.0, 0.0, dt=1.0, sigma_speed=0.0)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -148,9 +148,12 @@ def test_motion_input_validation():
     ("heading", -math.inf, "heading"),
 ], ids=lambda v: repr(v) if isinstance(v, float) else v)
 def test_motion_input_rejects_non_finite(field, value, message):
-    kwargs = {"speed": 1.0, "heading": 0.0, field: value}
-    with pytest.raises(ValueError, match=message):
-        MotionInput(**kwargs)
+    """Each constructor rejects a non-finite value of each of its arguments."""
+    constructors = [(Transition.odometry, ODOMETRY), (Transition.random_walk, RANDOM_WALK)]
+    for make, kwargs in constructors:
+        if field in kwargs:
+            with pytest.raises(ValueError, match=message):
+                make(**{**kwargs, field: value})
 
 
 def test_chapman_kolmogorov_matches_dense_oracle():
@@ -161,9 +164,8 @@ def test_chapman_kolmogorov_matches_dense_oracle():
     ws = TransitionWorkspace(spec)
     rng = np.random.default_rng(2)
     field = LikelihoodField(spec, rng.random(spec.num_cells))
-    transition = Transition.step(MotionInput(1.5, 0.4, sigma_speed=0.4,
-                                             sigma_heading=0.3, dt=1.0)).then(
-        Transition.step(MotionInput(None, None, sigma_rw=0.3, dt=0.5)))
+    transition = odometry(1.5, 0.4, dt=1.0, sigma_speed=0.4, sigma_heading=0.3).then(
+        random_walk(dt=0.5, sigma_rw=0.3))
 
     cov = transition.cov + 0.25 * spec.cell_size ** 2 * np.eye(2)
     inv = np.linalg.inv(cov)
@@ -204,7 +206,7 @@ def test_kernel_moments_match_analytic(speed, dt, n, heading):
     covariance plus the floor h^2/6 and the cell's own variance h^2/12
     (worst case measured: 0.02 cell for the mean, 0.037 cell for the spread)."""
     ws = TransitionWorkspace(GridSpec((0.0, 0.0), H, (80, 80)))
-    step = Transition.step(MotionInput(speed, heading, dt=dt))
+    step = odometry(speed, heading, dt=dt)
     transition = step
     for _ in range(n - 1):
         transition = transition.then(step)
@@ -231,11 +233,10 @@ def test_composed_prediction_matches_sequential():
     x, y = spec.axes()
     blob = np.exp(-0.5 * np.add.outer((x - 11.0) ** 2, (y - 12.5) ** 2) / 0.6 ** 2)
     field = LikelihoodField(spec, blob.ravel())
-    motions = [MotionInput(2.0, 0.3, dt=0.2),
-               MotionInput(None, None, sigma_rw=1.0, dt=0.1),
-               MotionInput(3.0, 0.5, sigma_speed=0.3, sigma_heading=0.4, dt=0.4),
-               MotionInput(2.5, -1.0, dt=0.15)]
-    steps = [Transition.step(m) for m in motions]
+    steps = [odometry(2.0, 0.3, dt=0.2),
+             random_walk(dt=0.1, sigma_rw=1.0),
+             odometry(3.0, 0.5, dt=0.4, sigma_speed=0.3, sigma_heading=0.4),
+             odometry(2.5, -1.0, dt=0.15)]
     composed = steps[0]
     for step in steps[1:]:
         composed = composed.then(step)
@@ -245,8 +246,8 @@ def test_composed_prediction_matches_sequential():
                                          + steps[2].cov) + steps[3].cov)
 
     sequential = field
-    for motion in motions:
-        sequential = predict(sequential, motion, ws)
+    for step in steps:
+        sequential = predict(sequential, step, ws)
     once = predict(field, composed, ws)
 
     def centroid(f):
@@ -259,17 +260,15 @@ def test_composed_prediction_matches_sequential():
 
 def test_transition_moments_that_overflow_give_a_zero_kernel():
     """A speed whose moments overflow, or a mean beyond 6 sigma of every cell
-    of the window, builds a zero kernel without a warning; so does a ring
-    whose squared residual overflows, and predicting through either
-    collapses."""
+    of the window, builds a zero kernel without a warning, and predicting
+    through it collapses."""
     field = init_uniform(SPEC)
     for speed in (1e200, 1e155, 1000.0):
-        step = Transition.step(MotionInput(speed, 0.3, dt=0.1))
+        step = odometry(speed, 0.3, dt=0.1)
         assert not np.any(WS.transition_kernel(step))
         assert not np.any(WS.transition_kernel(step.then(step)))
-        for motion in (step, MotionInput(speed, None, dt=0.1)):
-            with pytest.raises(DegenerateFieldError):
-                predict(field, motion, WS)
+        with pytest.raises(DegenerateFieldError):
+            predict(field, step, WS)
 
 
 @pytest.mark.parametrize("extent, k", [
@@ -285,7 +284,7 @@ def test_convolution_has_the_bits_of_fftconvolve_same(extent, k):
     assert np.array_equal(_convolve_same(grid, kernel),
                           fftconvolve(grid, kernel, mode="same"))
     field = LikelihoodField(GridSpec((0.0, 0.0), 0.5, extent), grid.ravel())
-    step = Transition.step(MotionInput(1.3, 0.4))
+    step = odometry(1.3, 0.4)
     pred = predict(field, step, TransitionWorkspace(field.spec))
     expected = fftconvolve(field.mass.reshape(extent),
                            TransitionWorkspace(field.spec).transition_kernel(step),
@@ -315,8 +314,8 @@ def test_cli_import_leaves_scipy_signal_out():
 def test_dropped_workspace_is_collected():
     """Building kernels must not keep workspaces (or their grids) alive."""
     ws = TransitionWorkspace(GridSpec((0.0, 0.0), 0.5, (30, 30)))
-    ws.transition_kernel(Transition.step(MotionInput(2.0, 0.3)))
-    ws.transition_kernel(Transition.step(MotionInput(None, None)))
+    ws.transition_kernel(odometry(2.0, 0.3))
+    ws.transition_kernel(random_walk())
     ref = weakref.ref(ws)
     del ws
     gc.collect()

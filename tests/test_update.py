@@ -32,8 +32,7 @@ def naive_range_posterior(prior, anchor_xyz, z, mu, sigma, phi, out_lo, out_hi):
     """Independent per-cell transcription of the range update (sum mode)."""
     spec = prior.spec
     like = []
-    for i in range(spec.num_cells):
-        px, py = spec.index_to_position(i)
+    for px, py in spec.positions():
         d = math.sqrt((anchor_xyz[0] - px) ** 2 + (anchor_xyz[1] - py) ** 2
                       + (anchor_xyz[2] - spec.plane_height) ** 2)
         y = z - d
@@ -55,7 +54,7 @@ def test_noiseless_range_map_at_truth():
     for a in anchors:
         z = float(np.linalg.norm(a.xyz - truth))
         field = update_range(field, Range(a.id, z), a, model)
-    map_pos = spec.index_to_position(int(np.argmax(field.mass)))
+    map_pos = spec.positions()[int(np.argmax(field.mass))]
     assert np.linalg.norm(map_pos - truth[:2]) <= spec.cell_size * math.sqrt(2)
 
 
@@ -137,8 +136,7 @@ def test_aoa_oracle_equivalence():
     z = 1.2
     post = update_aoa(init_uniform(spec), Angle("a", z), anchor, GaussianModel(0.0, sigma))
     like = []
-    for i in range(100):
-        px, py = spec.index_to_position(i)
+    for px, py in spec.positions():
         gamma = math.atan2(anchor.position[1] - py, anchor.position[0] - px)
         y = z - gamma
         while y <= -math.pi:
@@ -211,8 +209,7 @@ def naive_bssd_posterior(prior, sats, gmm):
     routes = bssd_routes(gmm)
     spec = prior.spec
     like = [0.0] * spec.num_cells
-    for i in range(spec.num_cells):
-        px, py = spec.index_to_position(i)
+    for i, (px, py) in enumerate(spec.positions()):
 
         def dist(s):
             sx, sy, sz = s.position
@@ -235,7 +232,7 @@ def test_bssd_oracle_equivalence_mixed_visibility():
     rng = np.random.default_rng(23)
     spec = GridSpec(tuple(rng.uniform(-40, 40, 2)), 0.7, (13, 11), plane_height=1.5)
     prior = LikelihoodField(spec, rng.random(spec.num_cells))
-    truth = np.array([*spec.index_to_position(60), spec.plane_height])
+    truth = np.array([*spec.positions()[60], spec.plane_height])
     vis = [LOS, NLOS, LOS, NLOS, LOS, LOS]
     sats = []
     for k, v in enumerate(vis):
@@ -254,7 +251,7 @@ def test_bssd_noiseless_ridge_through_truth():
     truth = np.array([3.0, -2.0, 0.0])
     epoch = _noiseless_epoch(truth, SAT_POSITIONS[:2])
     post = update_gnss_bssd(init_uniform(spec), epoch, tight_gmm())
-    map_pos = spec.index_to_position(int(np.argmax(post.mass)))
+    map_pos = spec.positions()[int(np.argmax(post.mass))]
     # single pair gives a ridge; the true cell must lie on it
     truth_idx = spec.coords_to_index((13, 8))
     assert post.mass[truth_idx] >= 0.5 * post.mass.max()
@@ -406,7 +403,7 @@ def test_update_unknown_mode_raises(mode):
 
 
 def _random_epoch(rng, spec, vis, nlos_bias=13.0, radii=None):
-    truth = np.array([*spec.index_to_position(spec.num_cells // 3), spec.plane_height])
+    truth = np.array([*spec.positions()[spec.num_cells // 3], spec.plane_height])
     sats = []
     for k, v in enumerate(vis):
         az, el = rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1.4)
