@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import fileio
+from . import fileio, update
 from .engine import FilterConfig, FusionEngine
 from .metrics import ecdf, error_series, summarize
 from .noise import CalibrationFailureError, fit_gmm
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     p_fil.add_argument("--config", required=True, help="filter JSON")
     p_fil.add_argument("--observations", required=True)
     p_fil.add_argument("--out", required=True)
-    p_fil.add_argument("--combine", choices=["sum", "product"], default=None)
+    p_fil.add_argument("--combine", choices=[update.SUM, update.PRODUCT], default=None)
     p_fil.add_argument("--radius", type=float, default=None,
                        help="weighted-mean radius, meters")
 
@@ -69,18 +69,22 @@ def _build_parser() -> _Parser:
     p_demo.add_argument("--out", required=True)
     p_demo.add_argument("--seed", type=int, default=42)
     p_demo.add_argument("--grid-res", type=float, default=0.5, help="cell size, meters")
-    p_demo.add_argument("--combine", choices=["sum", "product"], default="sum")
+    p_demo.add_argument("--combine", choices=[update.SUM, update.PRODUCT],
+                        default=update.SUM)
     p_demo.add_argument("--radius", type=float, default=None)
     return parser
 
+
+# Each command computes everything it writes before it creates --out, so a
+# run that fails leaves no output directory behind.
 
 def _cmd_simulate(args) -> int:
     scenario = fileio.scenario_from_json(fileio.load_json(args.config))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
+    events, truth = generate(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    events, truth = generate(scenario)
     fileio.write_observations(events, out / "observations.csv")
     fileio.write_ground_truth(truth, out / "truth.csv")
     log.info("wrote %d events to %s", len(events), out)
@@ -90,9 +94,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_filter(args) -> int:
     cfg, grid, anchors = fileio.filter_config_from_json(fileio.load_json(args.config))
     if args.combine:
-        cfg.combine_mode = args.combine
+        cfg = replace(cfg, combine_mode=args.combine)
     if args.radius is not None:
-        cfg.estimate_radius = args.radius
+        cfg = replace(cfg, estimate_radius=args.radius)
     events = fileio.read_observations(args.observations)
     engine = FusionEngine(grid, anchors, cfg)
     estimates = engine.run(events)
@@ -108,10 +112,12 @@ def _cmd_evaluate(args) -> int:
     estimates = fileio.read_estimates(args.estimates)
     truth = fileio.read_ground_truth(args.truth)
     series = error_series(estimates, truth)
+    stats = {args.name: summarize(series)}
+    curves = {args.name: ecdf(series)}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fileio.write_stats({args.name: summarize(series)}, out / "stats.csv")
-    fileio.write_ecdf({args.name: ecdf(series)}, out / "ecdf.csv")
+    fileio.write_stats(stats, out / "stats.csv")
+    fileio.write_ecdf(curves, out / "ecdf.csv")
     return EXIT_OK
 
 
@@ -123,32 +129,34 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = FilterConfig(combine_mode=args.combine, estimate_radius=args.radius)
-
-    summaries = {}
-    curves = {}
-    runs = {
+    scenarios = {
         "static": make_static_scenario(n_epochs=60, cell_size=args.grid_res,
                                        seed=args.seed),
         "dynamic": make_dynamic_scenario(n_gnss_epochs=40, cell_size=args.grid_res,
                                          seed=args.seed + 1),
     }
-    for name, scenario in runs.items():
+    runs = {}
+    summaries = {}
+    curves = {}
+    for name, scenario in scenarios.items():
         events, truth = generate(scenario)
-        fileio.write_observations(events, out / f"{name}_observations.csv")
-        fileio.write_ground_truth(truth, out / f"{name}_truth.csv")
-        fileio.dump_json(fileio.scenario_to_json(scenario),
-                         out / f"{name}_scenario.json")
-        engine = FusionEngine(scenario.grid, scenario.anchors, cfg)
-        estimates = engine.run(events)
-        fileio.write_estimates(estimates, out / f"{name}_estimates.csv")
+        estimates = FusionEngine(scenario.grid, scenario.anchors, cfg).run(events)
+        runs[name] = events, truth, estimates
         series = error_series(estimates, truth)
         summaries[name] = summarize(series)
         curves[name] = ecdf(series)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (events, truth, estimates) in runs.items():
+        fileio.write_observations(events, out / f"{name}_observations.csv")
+        fileio.write_ground_truth(truth, out / f"{name}_truth.csv")
+        fileio.dump_json(fileio.scenario_to_json(scenarios[name]),
+                         out / f"{name}_scenario.json")
+        fileio.write_estimates(estimates, out / f"{name}_estimates.csv")
     fileio.dump_json(fileio.filter_config_to_json(
-        cfg, runs["static"].grid, runs["static"].anchors), out / "filter.json")
+        cfg, scenarios["static"].grid, scenarios["static"].anchors), out / "filter.json")
     fileio.write_stats(summaries, out / "stats.csv")
     fileio.write_ecdf(curves, out / "ecdf.csv")
     for name, s in summaries.items():

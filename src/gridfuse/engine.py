@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +42,35 @@ RECENTER_MARGIN = 0.1
 MAX_GAP = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
+    """The filter's settings, checked on construction; frozen, so a checked
+    config stays valid (vary one with ``dataclasses.replace``). Only the
+    radius's check against the grid's cell size waits for the engine."""
+
     combine_mode: str = SUM
     estimate_radius: float | None = None  # None -> 5 * cell_size
     sigma_speed: float = 0.5
     sigma_heading: float = 0.2
     sigma_rw: float = 1.0
-    range_model: object = dc_field(default_factory=lambda: DEFAULT_UWB_MODEL)
-    tdoa_model: object = dc_field(default_factory=lambda: DEFAULT_UWB_MODEL)
-    aoa_model: object = dc_field(default_factory=lambda: GaussianModel(0.0, 0.1))
+    range_model: object = DEFAULT_UWB_MODEL
+    tdoa_model: object = DEFAULT_UWB_MODEL
+    aoa_model: object = GaussianModel(0.0, 0.1)
     bssd_gmm: GmmModel = DEFAULT_BSSD_GMM
+
+    def __post_init__(self):
+        check_mode(self.combine_mode)
+        r = self.estimate_radius
+        if not (r is None or r > 0):
+            raise ValueError(f"estimate_radius must be > 0 or None, got {r}")
+        for name in ("range_model", "tdoa_model", "aoa_model"):
+            if not hasattr(getattr(self, name), "pdf"):
+                raise ValueError(f"{name} must be a density model, got {getattr(self, name)!r}")
+        bssd_routes(self.bssd_gmm)
+        for name in ("sigma_speed", "sigma_heading", "sigma_rw"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 # Deterministic ordering for events sharing a timestamp.
@@ -62,20 +80,6 @@ _TIE_PRIORITY = {GnssPseudoranges: 0, Range: 1, RangeDifference: 1, Angle: 1,
 
 def _tie_key(obs: Observation):
     return (obs.timestamp, _TIE_PRIORITY[type(obs.payload)])
-
-
-def _check_config(cfg: FilterConfig, radius: float, cell_size: float) -> None:
-    """Reject a configuration the filter cannot run with, before any event."""
-    check_mode(cfg.combine_mode)
-    for name in ("range_model", "tdoa_model", "aoa_model"):
-        if not hasattr(getattr(cfg, name), "pdf"):
-            raise ValueError(f"{name} must be a density model, got {getattr(cfg, name)!r}")
-    bssd_routes(cfg.bssd_gmm)
-    for name in ("sigma_speed", "sigma_heading", "sigma_rw"):
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    check_radius(radius, cell_size)
 
 
 class FusionEngine:
@@ -90,7 +94,9 @@ class FusionEngine:
                 raise ValueError(f"repeated anchor id {a.id!r}")
             self.anchors[a.id] = a
         self.field: LikelihoodField = init_uniform(spec)
-        _check_config(self.config, self.estimate_radius, spec.cell_size)
+        r = self.config.estimate_radius
+        self.estimate_radius = 5.0 * spec.cell_size if r is None else r
+        check_radius(self.estimate_radius, spec.cell_size)
         self.workspace = TransitionWorkspace(spec)
         self.last_timestamp: float | None = None
         # The last admitted odometry, held until the next one.
@@ -100,11 +106,6 @@ class FusionEngine:
         self.estimates: list[Estimate] = []
         self.rejected: list[tuple[Observation, str]] = []
         self.reinit_count = 0
-
-    @property
-    def estimate_radius(self) -> float:
-        r = self.config.estimate_radius
-        return 5.0 * self.field.spec.cell_size if r is None else r
 
     def admit(self, obs: Observation) -> str | None:
         """Entry check: the reason ``obs`` is rejected, or None. Reasons:

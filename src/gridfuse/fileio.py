@@ -2,16 +2,18 @@
 
 Each format is declared once. A CSV format is a header constant plus a row
 writer and a row parser, passed to ``_write_csv`` / ``_read_csv``. A JSON
-reader passes only the keys a document holds to the dataclass it builds, so
-every optional key takes its default from that class. Every JSON object has
-one policy for keys it does not know: a ``DataFormatError`` naming them.
+document is the fields of the dataclass it stores, written by ``_to_json``.
+A JSON reader passes only the keys a document holds to the dataclass it
+builds, with ``_build``, so every optional key takes its default from that
+class. Every JSON object has one policy for keys it does not know: a
+``DataFormatError`` naming them.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ from .observations import (LOS, NLOS, Angle, GnssPseudoranges, Observation,
                            Odometry, Range, RangeDifference, SatelliteObservation)
 from .simulator import (GnssNoiseConfig, GroundTruth, OdometryNoiseConfig,
                         SatelliteSpec, Scenario, Trajectory, UwbNoiseConfig)
-from .update import bssd_routes
 
 SCENARIO_SCHEMA = "gridfuse-scenario-v1"
 FILTER_SCHEMA = "gridfuse-filter-v1"
@@ -87,17 +88,20 @@ _MODEL_CLASSES = {"gaussian": GaussianModel, "uniform": UniformModel,
 _MODEL_TAGS = {cls: tag for tag, cls in _MODEL_CLASSES.items()}
 
 
+def _to_json(value):
+    """A density model as its tagged document, any other dataclass as its
+    fields, a tuple as a list; values inside recurse."""
+    if type(value) in _MODEL_TAGS:
+        return model_to_json(value)
+    if is_dataclass(value):
+        return _fields_to_json(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def _fields_to_json(obj) -> dict:
-    """Dataclass fields in order; tuples become lists, density models recurse."""
-    doc = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if type(value) in _MODEL_TAGS:
-            value = model_to_json(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        doc[f.name] = value
-    return doc
+    return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def model_to_json(model) -> dict:
@@ -111,16 +115,8 @@ def model_from_json(doc: dict):
         kind = doc["type"]
         cls = _MODEL_CLASSES.get(kind)
         if cls is not None:
-            _check_keys(doc, ["type", *(f.name for f in fields(cls))], f"{kind} model")
-            args = []
-            for f in fields(cls):
-                value = doc[f.name]
-                if isinstance(value, dict):
-                    value = model_from_json(value)
-                elif isinstance(value, list):
-                    value = tuple(value)
-                args.append(value)
-            return cls(*args)
+            return _build(cls, {k: v for k, v in doc.items() if k != "type"},
+                          primary=model_from_json, secondary=model_from_json)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model document: {exc}") from exc
     raise DataFormatError(f"unknown model type {kind!r}")
@@ -167,20 +163,9 @@ def _satellite_from_json(doc: dict) -> SatelliteSpec:
 
 
 def scenario_to_json(s: Scenario) -> dict:
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "grid": grid_to_json(s.grid),
-        "anchors": [_fields_to_json(a) for a in s.anchors],
-        "satellites": [_fields_to_json(sat) for sat in s.satellites],
-        "trajectory": _fields_to_json(s.trajectory),
-        "duration": s.duration,
-        "rates": {"gnss": s.gnss_rate, "uwb": s.uwb_rate,
-                  "odometry": s.odometry_rate},
-        "uwb_noise": _fields_to_json(s.uwb_noise),
-        "gnss_noise": _fields_to_json(s.gnss_noise),
-        "odometry_noise": _fields_to_json(s.odometry_noise),
-        "seed": s.seed,
-    }
+    doc = _fields_to_json(s)
+    doc["rates"] = {k: doc.pop(f"{k}_rate") for k in ("gnss", "uwb", "odometry")}
+    return {"schema": SCENARIO_SCHEMA, **doc}
 
 
 def scenario_from_json(doc: dict) -> Scenario:
@@ -205,14 +190,11 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise DataFormatError(f"bad scenario config: {exc}") from exc
 
 
-_FILTER_SCALARS = ("combine_mode", "estimate_radius", "sigma_speed",
-                   "sigma_heading", "sigma_rw")
+# The models are required keys; the others take FilterConfig's defaults.
 _FILTER_MODELS = ("range_model", "tdoa_model", "aoa_model", "bssd_gmm")
 # Earlier writers also stored the gap warning's threshold, now fixed, and
 # whether the grid recenters, which it now always does.
 _FILTER_LEGACY = ("max_gap", "recenter_enabled")
-_FILTER_KEYS = ("schema", "grid", "anchors", *_FILTER_SCALARS, *_FILTER_MODELS,
-                *_FILTER_LEGACY)
 
 
 def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
@@ -220,26 +202,25 @@ def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
     return {
         "schema": FILTER_SCHEMA,
         "grid": grid_to_json(grid),
-        "anchors": [_fields_to_json(a) for a in anchors],
-        **{k: getattr(cfg, k) for k in _FILTER_SCALARS},
-        **{k: model_to_json(getattr(cfg, k)) for k in _FILTER_MODELS},
+        "anchors": [_to_json(a) for a in anchors],
+        **_fields_to_json(cfg),
     }
 
 
 def filter_config_from_json(doc: dict):
-    """Returns (FilterConfig, GridSpec, anchors); the models are required, and
-    ``bssd_gmm`` must be a mixture that ``bssd_routes`` can route. A legacy
-    ``max_gap`` is ignored; a legacy ``recenter_enabled`` must be true."""
+    """Returns (FilterConfig, GridSpec, anchors). Every key besides the grid
+    and the anchors is a FilterConfig field, the models required; a setting
+    FilterConfig rejects makes the file malformed. A legacy ``max_gap`` is
+    ignored; a legacy ``recenter_enabled`` must be true."""
     _check_schema(doc, FILTER_SCHEMA)
-    _check_keys(doc, _FILTER_KEYS, "filter config")
     if doc.get("recenter_enabled", True) is not True:
         raise DataFormatError("bad filter config: the grid always recenters, "
                               f"got recenter_enabled {doc['recenter_enabled']!r}")
     try:
-        cfg = FilterConfig(
-            **{k: doc[k] for k in _FILTER_SCALARS if k in doc},
-            **{k: model_from_json(doc[k]) for k in _FILTER_MODELS})
-        bssd_routes(cfg.bssd_gmm)
+        settings = {k: v for k, v in doc.items()
+                    if k not in ("schema", "grid", "anchors", *_FILTER_LEGACY)}
+        cfg = _build(FilterConfig, {**settings, **{k: doc[k] for k in _FILTER_MODELS}},
+                     **dict.fromkeys(_FILTER_MODELS, model_from_json))
         anchors = tuple(_build(ReferencePoint, d) for d in doc["anchors"])
         return cfg, grid_from_json(doc["grid"]), anchors
     except (KeyError, TypeError, ValueError) as exc:

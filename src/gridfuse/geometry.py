@@ -8,10 +8,6 @@ import numpy as np
 
 from .grid import GridSpec
 
-# Marks cells where an angle relation is undefined (cell coincides with the
-# reference point); likelihood sampling treats these cells as uninformative.
-ANGLE_UNDEFINED = np.nan
-
 
 @dataclass(frozen=True)
 class ReferencePoint:
@@ -64,8 +60,10 @@ def gamma_distance(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
 
 
 def coincident(ref_a: ReferencePoint, ref_b: ReferencePoint) -> bool:
-    """True when two references sit at one position (no TDoA relation)."""
-    return bool(np.allclose(ref_a.xyz, ref_b.xyz))
+    """True when two references sit at one position, where the range
+    difference is undefined (no TDoA relation). Positions compare exactly, so
+    the test does not depend on the coordinates' scale."""
+    return ref_a.position == ref_b.position
 
 
 def gamma_hyperbolic(ref_a: ReferencePoint, ref_b: ReferencePoint,
@@ -76,22 +74,3 @@ def gamma_hyperbolic(ref_a: ReferencePoint, ref_b: ReferencePoint,
     d = gamma_distance(ref_a, grid)
     d -= gamma_distance(ref_b, grid)
     return d
-
-
-def gamma_angle(ref: ReferencePoint, grid: GridSpec) -> np.ndarray:
-    """Four-quadrant bearing from each cell to the reference, in [-pi, pi]
-    as ``arctan2`` gives it (-pi where dy is -0.0, e.g. a reference at y = -0.0
-    seen from cells at y = 0); the AoA likelihood wraps the innovation after
-    differencing.
-
-    Cells coinciding with the reference in the x-y plane get ANGLE_UNDEFINED.
-    """
-    x, y = grid.axes()
-    dx = ref.position[0] - x
-    dy = ref.position[1] - y
-    gamma = np.arctan2(dy[None, :], dx[:, None]).ravel()
-    undefined = np.logical_and.outer(dx == 0.0, dy == 0.0).ravel()
-    if np.any(undefined):
-        gamma = np.where(undefined, ANGLE_UNDEFINED, gamma)
-    return gamma
-

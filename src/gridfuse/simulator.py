@@ -101,10 +101,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if min(self.gnss_rate, self.uwb_rate, self.odometry_rate) <= 0:
-            raise ValueError("sensor rates must be > 0")
+        for name in ("duration", "gnss_rate", "uwb_rate", "odometry_rate"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         object.__setattr__(self, "anchors", tuple(self.anchors))
         object.__setattr__(self, "satellites", tuple(self.satellites))
 

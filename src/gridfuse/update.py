@@ -6,11 +6,11 @@ satellite whose distances overflow is left out of its epoch's pairs."""
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
-from .geometry import (ReferencePoint, gamma_angle, gamma_distance,
-                       gamma_hyperbolic, wrap_angle)
+from .geometry import ReferencePoint, gamma_distance, gamma_hyperbolic
 from .grid import MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField
 from .noise import GaussianModel, GmmModel, density
 from .observations import LOS, NLOS, Angle, GnssPseudoranges, Range, RangeDifference
@@ -65,12 +65,20 @@ def likelihood_tdoa(grid: GridSpec, obs: RangeDifference, ref_a: ReferencePoint,
 
 def likelihood_aoa(grid: GridSpec, obs: Angle, anchor: ReferencePoint,
                    model) -> np.ndarray:
-    """Per-cell bearing likelihood of the innovation wrapped to (-pi, pi]. A
-    cell under the anchor has no bearing; it takes the mean likelihood of the
-    others, so it keeps its prior share."""
-    y = wrap_angle(obs.value - gamma_angle(anchor, grid))
-    undefined = np.isnan(y)
-    like = density(model, y, y)
+    """Per-cell bearing likelihood of the innovation z - atan2(dy, dx), where
+    (dx, dy) runs from the cell to the anchor. The innovation is formed in one
+    rotation of the offsets by -z, as atan2(sin z dx - cos z dy,
+    cos z dx + sin z dy), which lies in [-pi, pi] without a wrap. A cell under
+    the anchor has no bearing; it takes the mean likelihood of the others, so
+    it keeps its prior share."""
+    x, y = grid.axes()
+    dx = anchor.position[0] - x
+    dy = anchor.position[1] - y
+    c, s = math.cos(obs.value), math.sin(obs.value)
+    innovation = np.subtract.outer(s * dx, c * dy).ravel()
+    np.arctan2(innovation, np.add.outer(c * dx, s * dy).ravel(), out=innovation)
+    like = density(model, innovation, innovation)
+    undefined = np.logical_and.outer(dx == 0.0, dy == 0.0).ravel()
     if undefined.any():
         like[undefined] = like[~undefined].mean()
     return like

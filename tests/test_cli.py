@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,54 @@ def test_demo_with_a_bad_cell_size_exits_2(tmp_path, capsys, grid_res):
     assert main(["demo", "--out", str(tmp_path / "demo"),
                  "--grid-res", grid_res]) == EXIT_DATA
     assert "cell_size must be finite and > 0" in capsys.readouterr().err
+
+
+def _scenario_with(path, section, key, value):
+    """A scenario file with ``doc[section][key]`` (or ``doc[key]``) set."""
+    doc = scenario_to_json(make_static_scenario(n_epochs=4, cell_size=1.0))
+    (doc if section is None else doc[section])[key] = value
+    dump_json(doc, path)
+    return path
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("section, key, name", [(None, "duration", "duration"),
+                                                ("rates", "gnss", "gnss_rate")],
+                         ids=["duration", "gnss_rate"])
+def test_simulate_with_a_non_finite_scenario_value_exits_2(tmp_path, capsys,
+                                                           section, key, name, value):
+    config = _scenario_with(tmp_path / "scenario.json", section, key, value)
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert f"{name} must be finite and > 0" in capsys.readouterr().err
+
+
+def _evaluate_without_a_match(tmp_path):
+    """An estimates file whose only timestamp no truth sample is near."""
+    est = tmp_path / "estimates.csv"
+    est.write_text("t,x,y,z,map_cell,map_mass,wm_radius,support_count\n"
+                   "100,0,0,0,0,1,5,1\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,x,y,z\n0,0,0,0\n")
+    return ["evaluate", "--estimates", str(est), "--truth", str(truth)]
+
+
+FAILING_RUNS = {
+    "demo_zero_cell": lambda tmp_path: ["demo", "--grid-res", "0"],
+    "demo_radius_below_cell": lambda tmp_path: ["demo", "--radius", "0.1"],
+    "simulate_infinite_duration": lambda tmp_path: [
+        "simulate", "--config",
+        str(_scenario_with(tmp_path / "scenario.json", None, "duration", math.inf))],
+    "evaluate_without_a_match": _evaluate_without_a_match,
+}
+
+
+@pytest.mark.parametrize("run", sorted(FAILING_RUNS))
+def test_failing_command_creates_no_out_directory(tmp_path, capsys, run):
+    out = tmp_path / "out"
+    assert main([*FAILING_RUNS[run](tmp_path), "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+    capsys.readouterr()
 
 
 def _demo_static_inputs(tmp_path):

@@ -1,7 +1,7 @@
 import itertools
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -95,6 +95,21 @@ BAD_CONFIGS = {
 def test_invalid_config_raises_at_construction(name):
     with pytest.raises(ValueError):
         FusionEngine(SPEC, ANCHORS, FilterConfig(**BAD_CONFIGS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(set(BAD_CONFIGS) - {"radius_below_cell"}))
+def test_invalid_config_raises_without_an_engine(name):
+    """Every check but the radius's against the cell size needs no grid."""
+    with pytest.raises(ValueError):
+        FilterConfig(**BAD_CONFIGS[name])
+
+
+def test_config_is_frozen():
+    """A checked config cannot be made invalid after construction."""
+    cfg = FilterConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.sigma_speed = -1.0
+    assert cfg == FilterConfig()
 
 
 def test_bssd_gmm_component_order_does_not_change_estimates():
@@ -278,6 +293,21 @@ def test_run_rejects_invalid_event_with_reason(kind):
     ests = eng.run([range_obs(0.5, ANCHORS[0]), bad, range_obs(1.5, ANCHORS[1])])
     assert len(ests) == 2 and len(eng.rejected) == 1
     assert eng.rejected[0][0] is bad and eng.rejected[0][1] == reason
+
+
+@pytest.mark.parametrize("pos_a, pos_b", [
+    ((3.0e5, 5.4e6, 2.0), (3.0e5, 5.4e6 + 30.0, 2.0)),
+    ((50.0, 0.0, 2.0), (50.0004, 0.0, 2.0)),
+], ids=["projected_frame_30m", "sub_millimetre_at_50m"])
+def test_tdoa_between_distinct_positions_admitted(pos_a, pos_b):
+    """Only references at one position have no range difference, whatever
+    the scale of the coordinates."""
+    refs = [ReferencePoint("P1", pos_a), ReferencePoint("P2", pos_b)]
+    grid = GridSpec((pos_a[0] - 10.0, pos_a[1] - 10.0), 1.0, (21, 41))
+    eng = FusionEngine(grid, refs)
+    obs = Observation(1.0, RangeDifference("P1", "P2", 0.0))
+    assert eng.admit(obs) is None
+    assert eng.step(obs) is not None and not eng.rejected
 
 
 @pytest.fixture(scope="module")

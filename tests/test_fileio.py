@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -198,19 +200,36 @@ def test_estimates_round_trip(tmp_path):
 
 
 def test_filter_config_round_trip():
-    cfg = FilterConfig(combine_mode="product", estimate_radius=2.5,
-                       sigma_speed=0.7, sigma_heading=0.3)
+    """The filter file holds the grid, the anchors and FilterConfig's fields,
+    no more; a config differing from the defaults in every field reads back
+    equal."""
+    cfg = FilterConfig(
+        combine_mode="product", estimate_radius=2.5, sigma_speed=0.7,
+        sigma_heading=0.3, sigma_rw=2.0, range_model=GaussianModel(0.1, 0.4),
+        tdoa_model=MixtureLikelihoodModel(0.8, GaussianModel(0.0, 0.5),
+                                          UniformModel(-20.0, 20.0)),
+        aoa_model=GaussianModel(0.01, 0.2),
+        bssd_gmm=GmmModel((0.3, 0.05, 0.25, 0.2, 0.2), (0.1, 1.0, 14.2, -13.7, 2.5),
+                          (11.0, 0.7, 19.5, 22.25, 1e-4)))
+    default = FilterConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
     spec = GridSpec((0, 0), 0.5, (10, 10))
-    from gridfuse.geometry import ReferencePoint
     anchors = (ReferencePoint("A1", (1.0, 2.0, 3.0)),)
-    doc = filter_config_to_json(cfg, spec, anchors)
-    cfg2, spec2, anchors2 = filter_config_from_json(doc)
-    assert spec2 == spec and anchors2 == anchors
-    assert cfg2.combine_mode == "product"
-    assert cfg2.estimate_radius == 2.5
-    assert cfg2.sigma_speed == 0.7 and cfg2.sigma_heading == 0.3
-    assert cfg2.range_model == cfg.range_model
-    assert cfg2.bssd_gmm == cfg.bssd_gmm == DEFAULT_BSSD_GMM
+    doc = json.loads(json.dumps(filter_config_to_json(cfg, spec, anchors)))
+    assert set(doc) == {"schema", "grid", "anchors", *(f.name for f in fields(cfg))}
+    assert filter_config_from_json(doc) == (cfg, spec, anchors)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma_speed", -1.0), ("sigma_speed", 0.0), ("sigma_speed", math.nan),
+    ("sigma_rw", math.nan), ("combine_mode", "prod"),
+])
+def test_filter_config_rejects_an_invalid_setting(key, value):
+    """A setting FilterConfig rejects makes a malformed file."""
+    doc = filter_config_to_json(FilterConfig(), GridSpec((0, 0), 0.5, (10, 10)), ())
+    doc[key] = value
+    with pytest.raises(DataFormatError):
+        filter_config_from_json(doc)
 
 
 @pytest.mark.parametrize("gmm", [

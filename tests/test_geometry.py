@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridfuse.geometry import (ReferencePoint, gamma_angle, gamma_distance,
-                               gamma_hyperbolic, wrap_angle)
+from gridfuse.geometry import (ReferencePoint, gamma_distance, gamma_hyperbolic,
+                               wrap_angle)
 from gridfuse.grid import GridSpec
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (8, 8))
@@ -79,32 +79,6 @@ def test_hyperbolic_coincident_refs_raise():
     b = ReferencePoint("b", (1.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         gamma_hyperbolic(a, b, SPEC)
-
-
-def test_angle_cardinal_directions():
-    # due north of the cell at (2, 2): +pi/2; due west: pi
-    ref_n = ReferencePoint("n", (2.0, 7.0, 0.0))
-    assert gamma_angle(ref_n, SPEC)[SPEC.coords_to_index((2, 2))] == pytest.approx(math.pi / 2)
-    ref_w = ReferencePoint("w", (0.0, 2.0, 0.0))
-    assert gamma_angle(ref_w, SPEC)[SPEC.coords_to_index((2, 2))] == pytest.approx(math.pi)
-
-
-def test_angle_matches_scalar_atan2():
-    rng = np.random.default_rng(11)
-    ref = ReferencePoint("r", tuple(rng.uniform(-5, 12, 2)) + (0.0,))
-    g = gamma_angle(ref, SPEC)
-    for i, (x, y) in enumerate(SPEC.positions()):
-        if (ref.position[0], ref.position[1]) == (x, y):
-            continue
-        assert g[i] == pytest.approx(
-            math.atan2(ref.position[1] - y, ref.position[0] - x), rel=1e-12)
-
-
-def test_angle_sentinel_on_coincident_cell():
-    ref = ReferencePoint("r", (2.0, 3.0, 5.0))
-    g = gamma_angle(ref, SPEC)
-    assert np.isnan(g[SPEC.coords_to_index((2, 3))])
-    assert np.isfinite(np.delete(g, SPEC.coords_to_index((2, 3)))).all()
 
 
 def test_innovation_angle_wrap_example():

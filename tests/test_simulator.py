@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,3 +178,10 @@ def test_scenario_validation():
         Trajectory("spiral")
     with pytest.raises(ValueError):
         make_static_scenario(n_epochs=0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["duration", "gnss_rate", "uwb_rate", "odometry_rate"])
+def test_scenario_rejects_a_value_not_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        replace(make_static_scenario(n_epochs=2), **{name: value})

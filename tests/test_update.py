@@ -151,8 +151,8 @@ def test_aoa_oracle_equivalence():
 
 @pytest.mark.parametrize("anchor_y", [0.5, -0.0])
 def test_aoa_likelihood_matches_two_wrap_arithmetic(anchor_y):
-    """Wrapping the innovation once gives, per cell, the likelihood of the
-    former arithmetic, which wrapped the bearings and then the finite
+    """The innovation formed in one rotation gives, per cell, the likelihood
+    of an earlier arithmetic, which wrapped the bearings and then the finite
     innovations again. The anchor sits over a cell; at y = -0.0, arctan2 gives
     -pi on the cells east of it."""
     spec = GridSpec((-3.0, -2.0), 0.5, (13, 11))
