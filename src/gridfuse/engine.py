@@ -7,8 +7,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .estimation import Estimate, check_radius, estimate
 from .geometry import ReferencePoint, coincident
 from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform, recenter
@@ -174,19 +172,14 @@ class FusionEngine:
 
     def _maybe_recenter(self, est: Estimate) -> None:
         spec = self.field.spec
-        coords = np.asarray(spec.index_to_coords(est.map_cell))
-        extent = np.asarray(spec.extent)
-        margin = np.maximum(1, np.floor(RECENTER_MARGIN * extent))
-        near_border = np.any(coords < margin) | np.any(coords >= extent - margin)
-        if not near_border:
+        coords = tuple(map(int, spec.index_to_coords(est.map_cell)))
+        margins = [max(1, math.floor(RECENTER_MARGIN * n)) for n in spec.extent]
+        if all(m <= c < n - m for c, m, n in zip(coords, margins, spec.extent)):
             return
-        center = extent // 2
-        shift = coords - center
-        if not np.any(shift):
-            return
-        new_origin = np.asarray(spec.origin) + shift * spec.cell_size
-        self.field = recenter(self.field, tuple(new_origin))
-        log.info("recentered grid on MAP cell, new origin %s", tuple(new_origin))
+        shift = tuple(c - n // 2 for c, n in zip(coords, spec.extent))
+        if any(shift):
+            self.field = recenter(self.field, shift)
+            log.info("recentered grid on MAP cell, new origin %s", self.field.spec.origin)
 
     def _reinit_on_collapse(self, stage) -> None:
         """Replace the field by ``stage()`` (a predict or an update); if the

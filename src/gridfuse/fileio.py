@@ -158,8 +158,7 @@ def grid_from_json(doc: dict) -> GridSpec:
 
 
 def _satellite_from_json(doc: dict) -> SatelliteSpec:
-    return _build(SatelliteSpec, doc, position=tuple,
-                  visibility=lambda v: tuple(bool(x) for x in v))
+    return _build(SatelliteSpec, doc, position=tuple, visibility=tuple)
 
 
 def scenario_to_json(s: Scenario) -> dict:

@@ -100,34 +100,35 @@ def init_uniform(spec: GridSpec) -> LikelihoodField:
     return LikelihoodField(spec, np.ones(spec.num_cells))
 
 
+def usable_total(mass: np.ndarray, what: str) -> float:
+    """``mass.sum()`` when it is finite and > 0; any other total is
+    degenerate, and ``DegenerateFieldError`` says ``what``."""
+    total = mass.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise DegenerateFieldError(what)
+    return total
+
+
 def normalize(mass: np.ndarray) -> np.ndarray:
     """``mass / mass.sum()``; a zero or non-finite total is degenerate."""
-    total = mass.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise DegenerateFieldError("field has no usable mass to normalize")
-    return mass / total
+    return mass / usable_total(mass, "field has no usable mass to normalize")
 
 
-def recenter(field: LikelihoodField, new_origin) -> LikelihoodField:
-    """Translate the field to a new lattice-aligned origin.
-
-    Cells shifted in from outside the old grid receive ``MASS_FLOOR`` mass; the
-    result is renormalized.
+def recenter(field: LikelihoodField, shift) -> LikelihoodField:
+    """Move the lattice by ``shift`` whole cells per axis, to the origin
+    ``origin + shift * cell_size``. Cells shifted in from outside the old grid
+    receive ``MASS_FLOOR`` mass; the result is renormalized.
     """
     spec = field.spec
-    new_origin = tuple(float(v) for v in new_origin)
-    if len(new_origin) != 2:
-        raise ValueError("new_origin dimensionality mismatch")
-    offset_f = (np.asarray(new_origin) - np.asarray(spec.origin)) / spec.cell_size
-    offset = np.rint(offset_f).astype(int)
-    if np.max(np.abs(offset_f - offset)) > 1e-6:
-        raise ValueError(f"origin shift {new_origin} is not a whole-cell multiple")
-
+    if not (np.shape(shift) == (2,)
+            and all(isinstance(s, (int, np.integer)) for s in shift)):
+        raise ValueError(f"shift must be two whole-cell counts, got {shift!r}")
     grid = field.mass.reshape(spec.extent)
     shifted = np.full_like(grid, MASS_FLOOR)
-    src = [slice(max(o, 0), min(n, n + o)) for o, n in zip(offset, spec.extent)]
-    dst = [slice(max(-o, 0), min(n, n - o)) for o, n in zip(offset, spec.extent)]
+    src = [slice(max(s, 0), min(n, n + s)) for s, n in zip(shift, spec.extent)]
+    dst = [slice(max(-s, 0), min(n, n - s)) for s, n in zip(shift, spec.extent)]
     if all(s.start < s.stop for s in src):
         shifted[tuple(dst)] = grid[tuple(src)]
-    new_spec = GridSpec(new_origin, spec.cell_size, spec.extent, spec.plane_height)
+    origin = tuple(o + s * spec.cell_size for o, s in zip(spec.origin, shift))
+    new_spec = GridSpec(origin, spec.cell_size, spec.extent, spec.plane_height)
     return LikelihoodField(new_spec, shifted.ravel())

@@ -16,6 +16,37 @@ from .observations import (LOS, NLOS, GnssPseudoranges, Observation, Odometry,
 GNSS_ALTITUDE = 20.2e6  # m, MEO shell used for the synthetic sky plot
 
 
+# Rules for scenario fields: the message and the test, written so that NaN
+# fails it.
+_FINITE = ("finite", math.isfinite)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_UNIT_INTERVAL = ("in [0, 1]", lambda v: 0 <= v <= 1)
+_COUNT = ("an integer >= 0", lambda v: isinstance(v, (int, np.integer))
+          and not isinstance(v, bool) and v >= 0)
+_SCHEDULE = ("a non-empty sequence of booleans",
+             lambda v: len(v) > 0 and all(isinstance(x, (bool, np.bool_)) for x in v))
+
+
+def _point(n: int):
+    return (f"{n} finite coordinates",
+            lambda v: len(v) == n and all(map(math.isfinite, v)))
+
+
+def _check_fields(obj, rule, *names) -> None:
+    """Each named field of ``obj`` passes ``rule``, else a ValueError names
+    the field and the rule; a value of the wrong type fails too."""
+    text, test = rule
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            ok = test(value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UwbNoiseConfig:
     mean: float = 0.05
@@ -25,17 +56,32 @@ class UwbNoiseConfig:
     outlier_high: float = 30.0
     anchors_per_epoch: int = 4
 
+    def __post_init__(self):
+        _check_fields(self, _FINITE, "mean", "outlier_low", "outlier_high")
+        _check_fields(self, _NON_NEGATIVE, "std")
+        _check_fields(self, _UNIT_INTERVAL, "outlier_rate")
+        _check_fields(self, _COUNT, "anchors_per_epoch")
+        if not self.outlier_low < self.outlier_high:
+            raise ValueError(f"outlier_low must be < outlier_high, got "
+                             f"{self.outlier_low!r} and {self.outlier_high!r}")
+
 
 @dataclass(frozen=True)
 class GnssNoiseConfig:
     sigma_pseudorange: float = 7.8
     nlos_bias_mean: float = 13.0
 
+    def __post_init__(self):
+        _check_fields(self, _NON_NEGATIVE, "sigma_pseudorange", "nlos_bias_mean")
+
 
 @dataclass(frozen=True)
 class OdometryNoiseConfig:
     sigma_speed: float = 0.1
     sigma_heading: float = 0.05
+
+    def __post_init__(self):
+        _check_fields(self, _NON_NEGATIVE, "sigma_speed", "sigma_heading")
 
 
 @dataclass(frozen=True)
@@ -45,6 +91,10 @@ class SatelliteSpec:
     id: str
     position: tuple[float, float, float]
     visibility: tuple[bool, ...] = (True,)  # True = LOS
+
+    def __post_init__(self):
+        _check_fields(self, _point(3), "position")
+        _check_fields(self, _SCHEDULE, "visibility")
 
     def los_at(self, epoch: int) -> bool:
         return self.visibility[epoch % len(self.visibility)]
@@ -64,8 +114,12 @@ class Trajectory:
     def __post_init__(self):
         if self.kind not in ("static", "circuit"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.kind == "circuit" and self.radius <= 0:
-            raise ValueError("circuit radius must be > 0")
+        _check_fields(self, _point(3), "position")
+        _check_fields(self, _point(2), "center")
+        _check_fields(self, _FINITE, "height")
+        _check_fields(self, _NON_NEGATIVE, "speed")
+        if self.kind == "circuit":
+            _check_fields(self, _POSITIVE, "radius")
 
     def pose(self, t: float) -> tuple[np.ndarray, float, float]:
         """Returns (position_3d, speed, heading) at time t."""
@@ -101,10 +155,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("duration", "gnss_rate", "uwb_rate", "odometry_rate"):
-            value = getattr(self, name)
-            if not (0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _check_fields(self, _POSITIVE, "duration", "gnss_rate", "uwb_rate", "odometry_rate")
+        _check_fields(self, _COUNT, "seed")
         object.__setattr__(self, "anchors", tuple(self.anchors))
         object.__setattr__(self, "satellites", tuple(self.satellites))
 

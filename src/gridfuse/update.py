@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .geometry import ReferencePoint, gamma_distance, gamma_hyperbolic
-from .grid import MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField
+from .grid import MASS_FLOOR, GridSpec, LikelihoodField, usable_total
 from .noise import GaussianModel, GmmModel, density
 from .observations import LOS, NLOS, Angle, GnssPseudoranges, Range, RangeDifference
 
@@ -127,14 +127,9 @@ def bssd_pair_likelihoods(grid: GridSpec, obs: GnssPseudoranges,
 def _posterior(prior: LikelihoodField, like: np.ndarray) -> LikelihoodField:
     """Bayes' rule in ``like`` itself: normalise the likelihood, weigh it by
     the prior and floor it."""
-    s = like.sum()
-    if s <= 0 or not np.isfinite(s):
-        raise DegenerateFieldError("observation likelihood carries no mass")
-    like /= s
+    like /= usable_total(like, "observation likelihood carries no mass")
     like *= prior.mass
-    s = like.sum()
-    if s <= 0 or not np.isfinite(s):
-        raise DegenerateFieldError("posterior mass collapsed in the update")
+    usable_total(like, "posterior mass collapsed in the update")
     return LikelihoodField(prior.spec, np.maximum(like, MASS_FLOOR, out=like))
 
 

@@ -11,7 +11,7 @@ from gridfuse.fileio import (OBS_HEADER, DataFormatError, dump_json,
                              load_json, read_estimates, read_gmm, scenario_to_json,
                              write_observations, write_residuals)
 from gridfuse.noise import GmmModel, sample
-from gridfuse.simulator import generate, make_static_scenario
+from gridfuse.simulator import generate, make_dynamic_scenario, make_static_scenario
 
 from model_cases import NO_FINITE_DENSITY, as_json
 
@@ -214,6 +214,33 @@ def test_simulate_with_a_non_finite_scenario_value_exits_2(tmp_path, capsys,
     assert main(["simulate", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == EXIT_DATA
     assert f"{name} must be finite and > 0" in capsys.readouterr().err
+
+
+SMALL_STATIC = make_static_scenario(n_epochs=4, cell_size=1.0)
+SMALL_DYNAMIC = make_dynamic_scenario(n_gnss_epochs=4, cell_size=1.0)
+
+
+@pytest.mark.parametrize("scenario, edit, name", [
+    (SMALL_DYNAMIC, lambda d: d["trajectory"].update(speed=math.nan), "speed"),
+    (SMALL_STATIC, lambda d: d["gnss_noise"].update(sigma_pseudorange=math.inf),
+     "sigma_pseudorange"),
+    (SMALL_STATIC, lambda d: d["satellites"][0].update(visibility=[]), "visibility"),
+    (SMALL_STATIC, lambda d: d["satellites"][0].update(visibility=["false"]), "visibility"),
+    (SMALL_STATIC, lambda d: d["uwb_noise"].update(anchors_per_epoch=2.5),
+     "anchors_per_epoch"),
+    (SMALL_STATIC, lambda d: d.update(seed=1.5), "seed"),
+], ids=["speed_nan", "sigma_pseudorange_inf", "visibility_empty", "visibility_string",
+        "anchors_per_epoch_fraction", "seed_fraction"])
+def test_simulate_with_an_invalid_scenario_field_exits_2(tmp_path, capsys, scenario,
+                                                         edit, name):
+    doc = scenario_to_json(scenario)
+    edit(doc)
+    dump_json(doc, tmp_path / "scenario.json")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(tmp_path / "scenario.json"),
+                 "--out", str(out)]) == EXIT_DATA
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _evaluate_without_a_match(tmp_path):

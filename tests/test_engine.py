@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridfuse.engine import DEFAULT_BSSD_GMM, FilterConfig, FusionEngine, _tie_key
+from gridfuse.engine import DEFAULT_BSSD_GMM, MAX_GAP, FilterConfig, FusionEngine, _tie_key
 from gridfuse.geometry import ReferencePoint
 from gridfuse.grid import GridSpec, init_uniform
 from gridfuse.noise import GaussianModel, GmmModel
@@ -510,3 +510,62 @@ def test_zero_order_hold_motion_drives_prediction():
     pos = eng.field.spec.positions()[drifted]
     assert pos[0] - before[0] > 4.0  # moved roughly 6 m east
     assert abs(pos[1] - before[1]) <= 2.0
+
+
+# A 21 x 17-cell grid for arbitrary streams; the anchors sit near its corners
+# and borders, so short ranges pull the MAP cell to a border and recentre.
+FUZZ_SPEC = GridSpec((-10.0, -8.0), 1.0, (21, 17))
+
+
+# Makers of one event at time t from a drawn value, by kind; the invalid ones
+# come from BAD_EVENTS.
+FUZZ_EVENTS = {
+    "range": (st.floats(0.0, 40.0), lambda t, v, a: Range(a, v)),
+    "range_to_border": (st.floats(0.0, 2.0), lambda t, v, a: Range(a, v)),
+    "range_collapse": (st.just(1e6), lambda t, v, a: Range(a, v)),
+    "tdoa": (st.floats(-20.0, 20.0), lambda t, v, a: RangeDifference("A2", "A3", v)),
+    "aoa": (st.floats(-math.pi, math.pi), lambda t, v, a: Angle(a, v)),
+    "odometry": (st.floats(0.0, 5.0), lambda t, v, a: Odometry(v, 0.7)),
+    "odometry_huge": (st.just(1e300), lambda t, v, a: Odometry(v, 0.3)),
+    "gnss": (st.none(), lambda t, v, a: gnss_obs(t).payload),
+    "gnss_empty": (st.none(), lambda t, v, a: GnssPseudoranges(())),
+    "gnss_all_nlos": (st.none(), lambda t, v, a: GnssPseudoranges(tuple(
+        replace(s, visibility=NLOS) for s in gnss_obs(t).payload.satellites))),
+    **{f"bad_{kind}": (st.none(), lambda t, v, a, make=make: make(t).payload)
+       for kind, (make, _) in BAD_EVENTS.items()},
+}
+
+
+@st.composite
+def event_streams(draw):
+    """Events in arrival order: time steps of zero, short, beyond ``MAX_GAP``
+    or backwards, and events repeated as they arrive."""
+    t, events = 0.0, []
+    for _ in range(draw(st.integers(1, 25))):
+        t += draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0),
+                            st.floats(MAX_GAP + 0.01, 3 * MAX_GAP), st.floats(-5.0, -0.01)))
+        values, make = FUZZ_EVENTS[draw(st.sampled_from(sorted(FUZZ_EVENTS)))]
+        anchor = draw(st.sampled_from(["A1", "A2", "A3"]))
+        obs = Observation(t, make(t, draw(values), anchor))
+        events += [obs] * draw(st.integers(1, 2))
+    return events
+
+
+@pytest.mark.parametrize("mode", [SUM, PRODUCT])
+@settings(max_examples=60, deadline=None)
+@given(events=event_streams())
+def test_arbitrary_event_stream_keeps_a_normalised_field(mode, events):
+    """Whatever the stream, ``step`` does not raise, the field stays finite,
+    non-negative and normalised after every step, and each positioning event
+    is either rejected or gives an estimate."""
+    eng = FusionEngine(FUZZ_SPEC, ANCHORS, FilterConfig(combine_mode=mode))
+    for obs in events:
+        rejected = len(eng.rejected)
+        est = eng.step(obs)
+        mass = eng.field.mass
+        assert np.all(np.isfinite(mass)) and np.all(mass >= 0.0)
+        assert abs(mass.sum() - 1.0) <= 1e-12
+        if len(eng.rejected) > rejected:
+            assert eng.rejected[-1][0] is obs and est is None
+        else:
+            assert (est is None) == isinstance(obs.payload, Odometry)

@@ -126,7 +126,7 @@ def test_positions_come_from_the_axes():
 def test_recenter_identity():
     spec = GridSpec((0, 0), 1.0, (8, 8))
     field = LikelihoodField(spec, np.random.default_rng(0).random(64))
-    shifted = recenter(field, (0.0, 0.0))
+    shifted = recenter(field, (0, 0))
     assert np.allclose(shifted.mass, field.mass, atol=1e-12)
 
 
@@ -135,7 +135,7 @@ def test_recenter_point_mass_translation():
     mass = np.zeros(100)
     mass[spec.coords_to_index((5, 5))] = 1.0
     field = LikelihoodField(spec, mass)
-    out = recenter(field, (2.0, 0.0))
+    out = recenter(field, (2, 0))
     # world position of the mass is unchanged; its cell coords shift by -2 in x
     assert int(np.argmax(out.mass)) == out.spec.coords_to_index((3, 5))
     assert np.allclose(out.spec.positions()[int(np.argmax(out.mass))], [5.0, 5.0])
@@ -143,7 +143,7 @@ def test_recenter_point_mass_translation():
 
 def test_recenter_uniform_stays_uniform():
     spec = GridSpec((0, 0), 1.0, (6, 6))
-    out = recenter(init_uniform(spec), (1.0, -1.0))
+    out = recenter(init_uniform(spec), (1, -1))
     # interior cells keep uniform mass; shifted-in border cells only hold floor
     assert np.allclose(out.mass.sum(), 1.0)
     interior = out.mass[out.mass > 1e-6]
@@ -156,11 +156,30 @@ def test_recenter_rejects_fractional_offset():
         recenter(init_uniform(spec), (0.5, 0.0))
 
 
+@pytest.mark.parametrize(
+    "shift", [(1,), (1, 2, 3), 2, np.array([1.0, 0.0]), (1, None), "ab"],
+    ids=["one_entry", "three_entries", "scalar", "float_array", "none_entry", "string"])
+def test_recenter_rejects_a_shift_that_is_not_two_whole_cell_counts(shift):
+    field = init_uniform(GridSpec((0, 0), 1.0, (6, 6)))
+    with pytest.raises(ValueError, match="shift must be two whole-cell counts"):
+        recenter(field, shift)
+
+
+def test_recenter_origin_moves_by_shift_times_cell_size():
+    """Python and numpy integers give one origin, ``o + s * cell_size`` in
+    IEEE arithmetic, on a cell size with no exact binary form."""
+    spec = GridSpec((-15.0, 3.7), 0.2, (20, 20))
+    field = init_uniform(spec)
+    expected = (-15.0 + 7 * 0.2, 3.7 + -3 * 0.2)
+    assert recenter(field, (7, -3)).spec.origin == expected
+    assert recenter(field, np.array([7, -3])).spec.origin == expected
+
+
 def test_recenter_round_trip_conservation():
     spec = GridSpec((0, 0), 1.0, (10, 10))
     rng = np.random.default_rng(1)
     mass = np.zeros((10, 10))
     mass[3:7, 3:7] = rng.random((4, 4))  # zero boundary mass
     field = LikelihoodField(spec, mass.ravel())
-    back = recenter(recenter(field, (2.0, 1.0)), (0.0, 0.0))
+    back = recenter(recenter(field, (2, 1)), (-2, -1))
     assert np.max(np.abs(back.mass - field.mass)) < 1e-12

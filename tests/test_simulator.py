@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from gridfuse.observations import (LOS, NLOS, GnssPseudoranges, Odometry, Range)
-from gridfuse.simulator import (GnssNoiseConfig, Scenario, Trajectory,
-                                UwbNoiseConfig, anchor_ring,
+from gridfuse.simulator import (GnssNoiseConfig, OdometryNoiseConfig, SatelliteSpec,
+                                Scenario, Trajectory, UwbNoiseConfig, anchor_ring,
                                 default_constellation, generate,
                                 make_dynamic_scenario, make_static_scenario)
 
@@ -185,3 +185,58 @@ def test_scenario_validation():
 def test_scenario_rejects_a_value_not_finite_and_positive(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
         replace(make_static_scenario(n_epochs=2), **{name: value})
+
+
+NAN, INF = math.nan, math.inf
+# (class, valid keyword arguments, field, bad values): every scenario section
+# rejects each bad value of each field with a ValueError naming the field.
+FIELD_CASES = [
+    (Trajectory, dict(kind="static"), "position",
+     [(NAN, 0.0, 0.0), (0.0, INF, 0.0), (0.0, 0.0), "abc", None]),
+    (Trajectory, dict(kind="circuit"), "center", [(NAN, 0.0), (0.0, 0.0, 0.0)]),
+    (Trajectory, dict(kind="circuit"), "height", [NAN, INF]),
+    (Trajectory, dict(kind="circuit"), "radius", [0.0, -1.0, INF, NAN]),
+    (Trajectory, dict(kind="static"), "speed", [-1.0, INF, NAN, "5"]),
+    (GnssNoiseConfig, {}, "sigma_pseudorange", [-1.0, INF, NAN]),
+    (GnssNoiseConfig, {}, "nlos_bias_mean", [-1.0, INF, NAN]),
+    (OdometryNoiseConfig, {}, "sigma_speed", [-0.1, INF, NAN]),
+    (OdometryNoiseConfig, {}, "sigma_heading", [-0.1, INF, NAN]),
+    (UwbNoiseConfig, {}, "mean", [INF, -INF, NAN]),
+    (UwbNoiseConfig, {}, "std", [-0.1, INF, NAN]),
+    (UwbNoiseConfig, {}, "outlier_rate", [-0.1, 1.5, 2, NAN]),
+    (UwbNoiseConfig, {}, "outlier_low", [-INF, NAN, 30.0, 31.0]),
+    (UwbNoiseConfig, {}, "outlier_high", [INF, NAN, -30.0]),
+    (UwbNoiseConfig, {}, "anchors_per_epoch", [2.5, 4.0, -1, True, "4"]),
+    (SatelliteSpec, dict(id="G01", position=(1.0, 2.0, 3.0)), "position",
+     [(NAN, 2.0, 3.0), (1.0, 2.0, INF), (1.0, 2.0)]),
+    (SatelliteSpec, dict(id="G01", position=(1.0, 2.0, 3.0)), "visibility",
+     [(), ("false",), (0, 1), (True, None)]),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, name, value", [
+    pytest.param(cls, kwargs, name, value, id=f"{cls.__name__}.{name}-{value!r}")
+    for cls, kwargs, name, values in FIELD_CASES for value in values])
+def test_scenario_section_rejects_a_bad_field(cls, kwargs, name, value):
+    cls(**kwargs)  # valid as given
+    with pytest.raises(ValueError, match="must be") as err:
+        cls(**{**kwargs, name: value})
+    assert name in str(err.value)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, "1", None, True])
+def test_scenario_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        replace(make_static_scenario(n_epochs=2), seed=seed)
+
+
+def test_scenario_sections_accept_their_edge_values():
+    """Values in use stay valid: no outliers, a parked circuit, zero noise,
+    numpy integers and booleans."""
+    UwbNoiseConfig(outlier_rate=0.0, anchors_per_epoch=0)
+    UwbNoiseConfig(outlier_rate=1.0, anchors_per_epoch=np.int64(2))
+    Trajectory("circuit", speed=0.0)
+    GnssNoiseConfig(0.0, 0.0)
+    OdometryNoiseConfig(0.0, 0.0)
+    SatelliteSpec("G01", (1.0, 2.0, 3.0), (np.bool_(False), True))
+    replace(make_static_scenario(n_epochs=2), seed=np.int64(7))
