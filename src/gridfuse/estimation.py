@@ -10,7 +10,8 @@ import numpy as np
 from .grid import LikelihoodField
 
 
-@dataclass(frozen=True)
+# Slots: a run keeps one Estimate per fix.
+@dataclass(frozen=True, slots=True)
 class Estimate:
     timestamp: float
     position: tuple[float, float, float]

@@ -27,6 +27,10 @@ from .grid import GridSpec, LikelihoodField
 # off; with 1/6 no tested step's is more than 0.02 cell off.
 _KERNEL_VARIANCE = 0.25
 _TRUNCATION = 6.0  # sigma, Mahalanobis
+# Predict convolves only the box of the cells of at least this share of the
+# peak cell. Smaller cells lie below the rounding of a full-grid FFT (about
+# 3e-15 of the peak), so convolving them would add only noise.
+_SUPPORT = 1e-16
 
 
 def _check_dt_and_sigmas(dt: float, *sigmas: float) -> None:
@@ -117,18 +121,32 @@ class TransitionWorkspace:
         return np.where(q <= _TRUNCATION ** 2, np.exp(-0.5 * q), 0.0)
 
 
-def _convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The linear convolution of ``grid`` with ``kernel``, as a view of the
-    grid's window, by the operations of ``scipy.signal.fftconvolve(grid, kernel,
-    mode="same")`` and so with its bits whenever both span at least two cells
-    per axis: real FFTs at the next fast length of the full extent n + k - 1
-    per axis, their product, the inverse FFT and the window from (k - 1) // 2.
-    ``scipy.signal`` itself is not imported; it costs about 49 MB."""
+def _convolve_full(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The linear convolution of ``grid`` with ``kernel`` over its full extent
+    n + k - 1 per axis, padded at the end to the FFT length: real FFTs at the
+    next fast length of the full extent, their product and the inverse FFT."""
     shape = [n + k - 1 for n, k in zip(grid.shape, kernel.shape)]
     fshape = [next_fast_len(n, True) for n in shape]
-    full = irfft2(rfft2(grid, fshape) * rfft2(kernel, fshape), fshape)
+    return irfft2(rfft2(grid, fshape) * rfft2(kernel, fshape), fshape)
+
+
+def _convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The window of ``_convolve_full`` from (k - 1) // 2 that covers the grid.
+    These are the operations of ``scipy.signal.fftconvolve(grid, kernel,
+    mode="same")``, and so its bits whenever both span at least two cells per
+    axis. ``scipy.signal`` itself is not imported; it costs about 49 MB."""
+    full = _convolve_full(grid, kernel)
     return full[tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
                       for n, k in zip(grid.shape, kernel.shape))]
+
+
+def _support_box(grid: np.ndarray) -> tuple[slice, slice]:
+    """The smallest box that holds every cell of at least ``_SUPPORT`` times
+    the peak cell."""
+    above = grid >= _SUPPORT * grid.max()
+    return tuple(slice(int(i[0]), int(i[-1]) + 1)
+                 for i in (np.flatnonzero(above.any(axis=1)),
+                           np.flatnonzero(above.any(axis=0))))
 
 
 def predict(posterior: LikelihoodField, transition: Transition,
@@ -137,9 +155,22 @@ def predict(posterior: LikelihoodField, transition: Transition,
 
     Every source-to-target transition likelihood is weighted by the source
     cell's mass (a Chapman-Kolmogorov step), as one FFT convolution of the
-    field with the kernel. FFT rounding leaves tiny negative values, which are
-    clipped to 0. A zero kernel collapses the field (``DegenerateFieldError``).
+    field's support box with the kernel, added into the box grown by the
+    kernel radius and clipped to the grid. A cell outside the box keeps its
+    mass times the kernel's total, the total the convolution would give it.
+    When the box is the whole grid this is ``_convolve_same`` of the field,
+    bit for bit. FFT rounding leaves tiny negative values, which are clipped
+    to 0. A zero kernel collapses the field (``DegenerateFieldError``).
     """
     kernel = ws.transition_kernel(transition)
-    pred = _convolve_same(posterior.mass.reshape(posterior.spec.extent), kernel)
-    return LikelihoodField(posterior.spec, np.maximum(pred, 0.0).ravel())
+    grid = posterior.mass.reshape(posterior.spec.extent)
+    box = _support_box(grid)
+    r = (kernel.shape[0] - 1) // 2
+    grown = tuple(slice(max(b.start - r, 0), min(b.stop + r, n))
+                  for b, n in zip(box, grid.shape))
+    full = _convolve_full(grid[box], kernel)
+    pred = grid * kernel.sum()
+    pred[box] = 0.0
+    pred[grown] += full[tuple(slice(g.start - b.start + r, g.stop - b.start + r)
+                              for g, b in zip(grown, box))]
+    return LikelihoodField(posterior.spec, np.maximum(pred, 0.0, out=pred).ravel())

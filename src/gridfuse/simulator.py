@@ -24,6 +24,7 @@ _POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
 _UNIT_INTERVAL = ("in [0, 1]", lambda v: 0 <= v <= 1)
 _COUNT = ("an integer >= 0", lambda v: isinstance(v, (int, np.integer))
           and not isinstance(v, bool) and v >= 0)
+_NON_EMPTY = ("a non-empty sequence", lambda v: len(v) > 0)
 _SCHEDULE = ("a non-empty sequence of booleans",
              lambda v: len(v) > 0 and all(isinstance(x, (bool, np.bool_)) for x in v))
 
@@ -157,7 +158,12 @@ class Scenario:
     def __post_init__(self):
         _check_fields(self, _POSITIVE, "duration", "gnss_rate", "uwb_rate", "odometry_rate")
         _check_fields(self, _COUNT, "seed")
+        _check_fields(self, _NON_EMPTY, "anchors")
         object.__setattr__(self, "anchors", tuple(self.anchors))
+        ids = [a.id for a in self.anchors]
+        for i, id_ in enumerate(ids):
+            if id_ in ids[:i]:
+                raise ValueError(f"anchors must be uniquely named, got id {id_!r} twice")
         object.__setattr__(self, "satellites", tuple(self.satellites))
 
     @property

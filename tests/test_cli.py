@@ -229,8 +229,11 @@ SMALL_DYNAMIC = make_dynamic_scenario(n_gnss_epochs=4, cell_size=1.0)
     (SMALL_STATIC, lambda d: d["uwb_noise"].update(anchors_per_epoch=2.5),
      "anchors_per_epoch"),
     (SMALL_STATIC, lambda d: d.update(seed=1.5), "seed"),
+    (SMALL_STATIC, lambda d: d.update(anchors=[]), "anchors"),
+    (SMALL_STATIC, lambda d: d["anchors"][1].update(id=d["anchors"][0]["id"]), "anchors"),
 ], ids=["speed_nan", "sigma_pseudorange_inf", "visibility_empty", "visibility_string",
-        "anchors_per_epoch_fraction", "seed_fraction"])
+        "anchors_per_epoch_fraction", "seed_fraction", "anchors_empty",
+        "anchor_id_repeated"])
 def test_simulate_with_an_invalid_scenario_field_exits_2(tmp_path, capsys, scenario,
                                                          edit, name):
     doc = scenario_to_json(scenario)

@@ -6,9 +6,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridfuse.grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform
-from gridfuse.prediction import Transition, TransitionWorkspace, _convolve_same, predict
+from gridfuse.grid import (MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField,
+                           init_uniform)
+from gridfuse.prediction import (Transition, TransitionWorkspace, _convolve_full,
+                                 _convolve_same, _support_box, predict)
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (21, 21))
 WS = TransitionWorkspace(SPEC)
@@ -156,6 +159,32 @@ def test_motion_input_rejects_non_finite(field, value, message):
                 make(**{**kwargs, field: value})
 
 
+def dense_prediction(field, transition):
+    """The explicit source-to-target double sum of ``predict``, normalised."""
+    spec = field.spec
+    cov = transition.cov + 0.25 * spec.cell_size ** 2 * np.eye(2)
+    inv = np.linalg.inv(cov)
+    sigma_max = math.sqrt(np.linalg.eigvalsh(cov)[-1])
+    r = math.ceil((np.abs(transition.mean).max() + 6.0 * sigma_max) / spec.cell_size)
+    assert r < max(spec.extent) - 1  # the window, not the grid, bounds the kernel
+    pred = np.zeros(spec.num_cells)
+    pos = spec.positions()
+    coords = np.stack(spec.index_to_coords(np.arange(spec.num_cells)), axis=-1)
+    for i in range(spec.num_cells):
+        for j in range(spec.num_cells):
+            if np.max(np.abs(coords[i] - coords[j])) > r:
+                continue  # outside the truncated kernel window
+            e = pos[i] - pos[j] - transition.mean
+            q = e @ inv @ e
+            if q <= 36.0:
+                pred[i] += math.exp(-0.5 * q) * field.mass[j]
+    return pred / pred.sum()
+
+
+CK_TRANSITION = odometry(1.5, 0.4, dt=1.0, sigma_speed=0.4, sigma_heading=0.3).then(
+    random_walk(dt=0.5, sigma_rw=0.3))
+
+
 def test_chapman_kolmogorov_matches_dense_oracle():
     """Convolution result equals the explicit source-to-target double sum of
     the Gaussian kernel: covariance plus (h/2)^2 per axis, cut beyond 6 sigma
@@ -164,30 +193,71 @@ def test_chapman_kolmogorov_matches_dense_oracle():
     ws = TransitionWorkspace(spec)
     rng = np.random.default_rng(2)
     field = LikelihoodField(spec, rng.random(spec.num_cells))
-    transition = odometry(1.5, 0.4, dt=1.0, sigma_speed=0.4, sigma_heading=0.3).then(
-        random_walk(dt=0.5, sigma_rw=0.3))
+    out = predict(field, CK_TRANSITION, ws)
+    assert np.allclose(out.mass, dense_prediction(field, CK_TRANSITION), rtol=0.0, atol=1e-12)
 
-    cov = transition.cov + 0.25 * spec.cell_size ** 2 * np.eye(2)
-    inv = np.linalg.inv(cov)
-    sigma_max = math.sqrt(np.linalg.eigvalsh(cov)[-1])
-    r = math.ceil((np.abs(transition.mean).max() + 6.0 * sigma_max) / spec.cell_size)
-    assert r < max(spec.extent) - 1  # the window, not the grid, bounds the kernel
-    pred = np.zeros(spec.num_cells)
-    pos = spec.positions()
-    for i in range(spec.num_cells):
-        for j in range(spec.num_cells):
-            ci = np.asarray(spec.index_to_coords(i))
-            cj = np.asarray(spec.index_to_coords(j))
-            if np.max(np.abs(ci - cj)) > r:
-                continue  # outside the truncated kernel window
-            e = pos[i] - pos[j] - transition.mean
-            q = e @ inv @ e
-            if q <= 36.0:
-                pred[i] += math.exp(-0.5 * q) * field.mass[j]
-    pred /= pred.sum()
 
-    out = predict(field, transition, ws)
-    assert np.allclose(out.mass, pred, rtol=0.0, atol=1e-12)
+def blobs(spec, *corners):
+    """A 2 x 2-cell blob of mass 1 to 4 at each corner coordinate, on a
+    background of 1e-20, below the support threshold."""
+    grid = np.full(spec.extent, 1e-20)
+    for i, j in corners:
+        grid[i:i + 2, j:j + 2] = [[1.0, 2.0], [3.0, 4.0]]
+    return LikelihoodField(spec, grid.ravel())
+
+
+@pytest.mark.parametrize("extent, corners", [
+    ((14, 12), [(0, 10)]),
+    ((16, 18), [(2, 1), (12, 14)]),
+], ids=["corner_box_clipped_by_the_border", "two_blobs_with_held_corners"])
+def test_support_box_matches_dense_oracle(extent, corners):
+    """Predicting only the support box, grown by the kernel radius and clipped
+    to the grid, matches the dense double sum: a blob in a corner, and two
+    blobs far apart whose box leaves the other corners of the grid held."""
+    spec = GridSpec((0.0, 0.0), 1.0, extent)
+    ws = TransitionWorkspace(spec)
+    field = blobs(spec, *corners)
+    box = _support_box(field.mass.reshape(extent))
+    assert box != (slice(0, extent[0]), slice(0, extent[1]))
+    out = predict(field, CK_TRANSITION, ws)
+    assert np.allclose(out.mass, dense_prediction(field, CK_TRANSITION), rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def transitions(draw):
+    if draw(st.booleans()):
+        return Transition.random_walk(dt=draw(st.floats(0.05, 2.0)),
+                                      sigma_rw=draw(st.floats(0.05, 1.5)))
+    return Transition.odometry(speed=draw(st.floats(0.0, 4.0)),
+                               heading=draw(st.floats(-math.pi, math.pi)),
+                               dt=draw(st.floats(0.05, 1.0)),
+                               sigma_speed=draw(st.floats(0.05, 1.0)),
+                               sigma_heading=draw(st.floats(0.02, 0.5)))
+
+
+BLOB_SPEC = GridSpec((0.0, 0.0), 0.5, (64, 48))
+BLOB_WS = TransitionWorkspace(BLOB_SPEC)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, BLOB_SPEC.extent[0] - 1.0), st.floats(0.0, BLOB_SPEC.extent[1] - 1.0),
+       st.floats(1.0, 6.0), transitions())
+def test_support_box_matches_the_whole_grid_convolution(cx, cy, sigma, transition):
+    """A Gaussian blob anywhere on the grid, borders included: predicting its
+    support box matches convolving the whole grid within 1e-14 of the step's
+    peak before the grid clips it (FFT rounding scales with that peak, not
+    with what is left on the grid when mass moves off it), and the result
+    sums to 1."""
+    i, j = np.ogrid[:BLOB_SPEC.extent[0], :BLOB_SPEC.extent[1]]
+    blob = np.exp(-0.5 * ((i - cx) ** 2 + (j - cy) ** 2) / sigma ** 2)
+    field = LikelihoodField(BLOB_SPEC, blob.ravel())
+    grid = field.mass.reshape(BLOB_SPEC.extent)
+    kernel = BLOB_WS.transition_kernel(transition)
+    whole = np.maximum(_convolve_same(grid, kernel), 0.0).ravel()
+    out = predict(field, transition, BLOB_WS)
+    peak = _convolve_full(grid, kernel).max()
+    assert np.max(np.abs(out.mass * whole.sum() - whole)) <= 1e-14 * peak
+    assert abs(out.mass.sum() - 1.0) <= 1e-12
 
 
 H = 0.2
@@ -261,14 +331,18 @@ def test_composed_prediction_matches_sequential():
 def test_transition_moments_that_overflow_give_a_zero_kernel():
     """A speed whose moments overflow, or a mean beyond 6 sigma of every cell
     of the window, builds a zero kernel without a warning, and predicting
-    through it collapses."""
-    field = init_uniform(SPEC)
+    through it collapses: a uniform field, and a point mass on a floor of
+    ``MASS_FLOOR``, whose support box is one cell, so every other cell is held."""
+    mass = np.full(SPEC.num_cells, MASS_FLOOR)
+    mass[SPEC.coords_to_index((3, 17))] = 1.0
+    concentrated = LikelihoodField(SPEC, mass)
     for speed in (1e200, 1e155, 1000.0):
         step = odometry(speed, 0.3, dt=0.1)
         assert not np.any(WS.transition_kernel(step))
         assert not np.any(WS.transition_kernel(step.then(step)))
-        with pytest.raises(DegenerateFieldError):
-            predict(field, step, WS)
+        for field in (init_uniform(SPEC), concentrated):
+            with pytest.raises(DegenerateFieldError):
+                predict(field, step, WS)
 
 
 @pytest.mark.parametrize("extent, k", [

@@ -188,6 +188,7 @@ def test_scenario_rejects_a_value_not_finite_and_positive(name, value):
 
 
 NAN, INF = math.nan, math.inf
+SMALL_STATIC = make_static_scenario(n_epochs=2)
 # (class, valid keyword arguments, field, bad values): every scenario section
 # rejects each bad value of each field with a ValueError naming the field.
 FIELD_CASES = [
@@ -211,6 +212,8 @@ FIELD_CASES = [
      [(NAN, 2.0, 3.0), (1.0, 2.0, INF), (1.0, 2.0)]),
     (SatelliteSpec, dict(id="G01", position=(1.0, 2.0, 3.0)), "visibility",
      [(), ("false",), (0, 1), (True, None)]),
+    (Scenario, vars(SMALL_STATIC), "anchors",
+     [(), SMALL_STATIC.anchors[:1] * 2]),
 ]
 
 
@@ -222,6 +225,12 @@ def test_scenario_section_rejects_a_bad_field(cls, kwargs, name, value):
     with pytest.raises(ValueError, match="must be") as err:
         cls(**{**kwargs, name: value})
     assert name in str(err.value)
+
+
+def test_scenario_names_a_repeated_anchor_id():
+    anchors = SMALL_STATIC.anchors + SMALL_STATIC.anchors[1:2]
+    with pytest.raises(ValueError, match="^anchors must be uniquely named, got id 'A02' twice$"):
+        replace(SMALL_STATIC, anchors=anchors)
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "1", None, True])
