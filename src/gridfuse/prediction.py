@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .grid import GridSpec, LikelihoodField
 
@@ -29,7 +28,7 @@ _KERNEL_VARIANCE = 0.25
 _TRUNCATION = 6.0  # sigma, Mahalanobis
 # Predict convolves only the box of the cells of at least this share of the
 # peak cell. Smaller cells lie below the rounding of a full-grid FFT (about
-# 3e-15 of the peak), so convolving them would add only noise.
+# 1e-15 of the peak), so convolving them would add only noise.
 _SUPPORT = 1e-16
 
 
@@ -121,23 +120,29 @@ class TransitionWorkspace:
         return np.where(q <= _TRUNCATION ** 2, np.exp(-0.5 * q), 0.0)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n, for n >= 1: a length that numpy's
+    real FFT splits into small radices. For each 3^b * 5^c below the best so
+    far, the least power-of-2 multiple of it at or above n is a candidate."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_full(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The linear convolution of ``grid`` with ``kernel`` over its full extent
-    n + k - 1 per axis, padded at the end to the FFT length: real FFTs at the
-    next fast length of the full extent, their product and the inverse FFT."""
+    n + k - 1 per axis, padded at the end to the FFT length: ``numpy.fft``
+    real FFTs at the next 5-smooth length of the full extent, their product
+    and the inverse FFT."""
     shape = [n + k - 1 for n, k in zip(grid.shape, kernel.shape)]
-    fshape = [next_fast_len(n, True) for n in shape]
-    return irfft2(rfft2(grid, fshape) * rfft2(kernel, fshape), fshape)
-
-
-def _convolve_same(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The window of ``_convolve_full`` from (k - 1) // 2 that covers the grid.
-    These are the operations of ``scipy.signal.fftconvolve(grid, kernel,
-    mode="same")``, and so its bits whenever both span at least two cells per
-    axis. ``scipy.signal`` itself is not imported; it costs about 49 MB."""
-    full = _convolve_full(grid, kernel)
-    return full[tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
-                      for n, k in zip(grid.shape, kernel.shape))]
+    fshape = [_next_fast_len(n) for n in shape]
+    return np.fft.irfft2(np.fft.rfft2(grid, fshape) * np.fft.rfft2(kernel, fshape), fshape)
 
 
 def _support_box(grid: np.ndarray) -> tuple[slice, slice]:
@@ -158,9 +163,10 @@ def predict(posterior: LikelihoodField, transition: Transition,
     field's support box with the kernel, added into the box grown by the
     kernel radius and clipped to the grid. A cell outside the box keeps its
     mass times the kernel's total, the total the convolution would give it.
-    When the box is the whole grid this is ``_convolve_same`` of the field,
-    bit for bit. FFT rounding leaves tiny negative values, which are clipped
-    to 0. A zero kernel collapses the field (``DegenerateFieldError``).
+    When the box is the whole grid, this is the window of ``_convolve_full``
+    from the kernel radius that covers the grid, bit for bit. FFT rounding
+    leaves tiny negative values, which are clipped to 0. A zero kernel
+    collapses the field (``DegenerateFieldError``).
     """
     kernel = ws.transition_kernel(transition)
     grid = posterior.mass.reshape(posterior.spec.extent)

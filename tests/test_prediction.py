@@ -1,7 +1,9 @@
 import gc
+import json
 import math
 import subprocess
 import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gridfuse.grid import (MASS_FLOOR, DegenerateFieldError, GridSpec, LikelihoodField,
                            init_uniform)
 from gridfuse.prediction import (Transition, TransitionWorkspace, _convolve_full,
-                                 _convolve_same, _support_box, predict)
+                                 _next_fast_len, _support_box, predict)
 
 SPEC = GridSpec((0.0, 0.0), 1.0, (21, 21))
 WS = TransitionWorkspace(SPEC)
@@ -27,6 +29,16 @@ def odometry(speed, heading, **kwargs):
 
 def random_walk(**kwargs):
     return Transition.random_walk(**{**RANDOM_WALK, **kwargs})
+
+
+def fftconvolve_same(grid, kernel):
+    """The whole-grid reference: the window of ``_convolve_full`` from
+    (k - 1) // 2 that covers the grid. These are the operations of
+    ``scipy.signal.fftconvolve(grid, kernel, mode="same")`` on numpy's
+    transforms."""
+    full = _convolve_full(grid, kernel)
+    return full[tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
+                      for n, k in zip(grid.shape, kernel.shape))]
 
 
 def point_mass(spec, coords):
@@ -253,7 +265,7 @@ def test_support_box_matches_the_whole_grid_convolution(cx, cy, sigma, transitio
     field = LikelihoodField(BLOB_SPEC, blob.ravel())
     grid = field.mass.reshape(BLOB_SPEC.extent)
     kernel = BLOB_WS.transition_kernel(transition)
-    whole = np.maximum(_convolve_same(grid, kernel), 0.0).ravel()
+    whole = np.maximum(fftconvolve_same(grid, kernel), 0.0).ravel()
     out = predict(field, transition, BLOB_WS)
     peak = _convolve_full(grid, kernel).max()
     assert np.max(np.abs(out.mass * whole.sum() - whole)) <= 1e-14 * peak
@@ -349,40 +361,65 @@ def test_transition_moments_that_overflow_give_a_zero_kernel():
     ((30, 30), 7), ((31, 17), 9), ((16, 25), 5), ((12, 9), 23), ((5, 6), 13),
 ], ids=["even", "odd_even", "even_odd", "kernel_wider_than_grid", "small"])
 def test_convolution_has_the_bits_of_fftconvolve_same(extent, k):
-    """``predict`` convolves by the operations of scipy.signal's fftconvolve
-    in "same" mode, so every bit agrees with it."""
+    """``predict`` on a whole-grid support box has the bits of
+    ``fftconvolve_same``, and that agrees with scipy.signal's fftconvolve in
+    "same" mode within 1e-14 of the peak: scipy's transforms round the same
+    operations differently (at most 4.6e-16 of the peak on these cases)."""
     from scipy.signal import fftconvolve
     rng = np.random.default_rng(k)
     grid = rng.random(extent)
     kernel = rng.random((k, k))
-    assert np.array_equal(_convolve_same(grid, kernel),
-                          fftconvolve(grid, kernel, mode="same"))
+    same = fftconvolve_same(grid, kernel)
+    assert np.max(np.abs(same - fftconvolve(grid, kernel, mode="same"))) <= 1e-14 * same.max()
     field = LikelihoodField(GridSpec((0.0, 0.0), 0.5, extent), grid.ravel())
+    assert _support_box(grid) == (slice(0, extent[0]), slice(0, extent[1]))
+    ws = TransitionWorkspace(field.spec)
     step = odometry(1.3, 0.4)
-    pred = predict(field, step, TransitionWorkspace(field.spec))
-    expected = fftconvolve(field.mass.reshape(extent),
-                           TransitionWorkspace(field.spec).transition_kernel(step),
-                           mode="same")
+    pred = predict(field, step, ws)
+    expected = fftconvolve_same(field.mass.reshape(extent), ws.transition_kernel(step))
     expected = LikelihoodField(field.spec, np.maximum(expected, 0.0).ravel())
     assert np.array_equal(pred.mass, expected.mass)
 
 
+def test_next_fast_len_matches_scipy():
+    """The FFT length is scipy's next fast length for real transforms, the
+    smallest 5-smooth number at or above n."""
+    from scipy.fft import next_fast_len
+    n = range(1, 3000)
+    assert [_next_fast_len(i) for i in n] == [next_fast_len(i, True) for i in n]
+
+
 def test_one_by_one_zero_kernel_collapses():
     spec = GridSpec((0.0, 0.0), 0.5, (7, 8))
-    assert not np.any(_convolve_same(init_uniform(spec).mass.reshape(spec.extent),
-                                     np.zeros((1, 1))))
+    assert not np.any(fftconvolve_same(init_uniform(spec).mass.reshape(spec.extent),
+                                       np.zeros((1, 1))))
     with pytest.raises(DegenerateFieldError):
         predict(init_uniform(spec), Transition(np.full(2, np.inf), np.eye(2)),
                 TransitionWorkspace(spec))
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    """Importing scipy.signal costs about 49 MB of resident memory; the
-    package needs only scipy.fft."""
-    code = "import sys, gridfuse.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+def test_runtime_runs_without_scipy(tmp_path):
+    """The package needs numpy only: with scipy blocked from import, the demo
+    and a filter run on its output both exit 0, and no scipy module loads."""
+    code = textwrap.dedent("""
+        import json, sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        import gridfuse
+        from gridfuse.cli import main
+        out = sys.argv[1]
+        demo = main(["demo", "--out", out + "/demo", "--seed", "42"])
+        filtered = main(["filter", "--config", out + "/demo/filter.json",
+                         "--observations", out + "/demo/static_observations.csv",
+                         "--out", out + "/filter"])
+        loaded = [m for m, mod in sys.modules.items()
+                  if m.startswith("scipy") and mod is not None]
+        print(json.dumps([demo, filtered, loaded]))
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, 0, []]
+    assert (tmp_path / "filter" / "estimates.csv").stat().st_size > 0
 
 
 def test_dropped_workspace_is_collected():
