@@ -182,8 +182,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (fileio.DataFormatError, CalibrationFailureError, FileNotFoundError,
-            IsADirectoryError, PermissionError, ValueError, KeyError) as exc:
+    except (fileio.DataFormatError, CalibrationFailureError, OSError, ValueError,
+            KeyError) as exc:
         print(f"gridfuse: {exc}", file=sys.stderr)
         return EXIT_DATA
 

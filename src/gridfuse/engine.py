@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from .estimation import Estimate, check_radius, estimate
 from .geometry import ReferencePoint, coincident
 from .grid import DegenerateFieldError, GridSpec, LikelihoodField, init_uniform, recenter
-from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
+from .noise import (DensityModel, GaussianModel, GmmModel, MixtureLikelihoodModel,
+                    UniformModel)
 from .observations import (Angle, GnssPseudoranges, Observation, Odometry, Range,
                            RangeDifference)
 from .prediction import Transition, TransitionWorkspace, predict
@@ -51,9 +52,9 @@ class FilterConfig:
     sigma_speed: float = 0.5
     sigma_heading: float = 0.2
     sigma_rw: float = 1.0
-    range_model: object = DEFAULT_UWB_MODEL
-    tdoa_model: object = DEFAULT_UWB_MODEL
-    aoa_model: object = GaussianModel(0.0, 0.1)
+    range_model: DensityModel = DEFAULT_UWB_MODEL
+    tdoa_model: DensityModel = DEFAULT_UWB_MODEL
+    aoa_model: DensityModel = GaussianModel(0.0, 0.1)
     bssd_gmm: GmmModel = DEFAULT_BSSD_GMM
 
     def __post_init__(self):

@@ -37,12 +37,12 @@ def _weighted_mean_and_support(field: LikelihoodField, center: int,
     """Centroid of the cells within ``radius`` of ``center`` and their count.
 
     Only the index window of half-width ``radius / cell_size + 1`` cells around
-    the center (clipped at the border; the whole grid for an infinite radius)
-    is tested, and its cells are taken in C order, as a full-grid mask would.
+    the center is tested, the radius clipped to the grid and the window to its
+    border; its cells are taken in C order, as a full-grid mask would.
     """
     spec = field.spec
     check_radius(radius, spec.cell_size)
-    half = max(spec.extent) if math.isinf(radius) else int(radius // spec.cell_size) + 1
+    half = int(min(radius, max(spec.extent) * spec.cell_size) // spec.cell_size) + 1
     ci, cj = spec.index_to_coords(center)
     window = (slice(max(ci - half, 0), ci + half + 1),
               slice(max(cj - half, 0), cj + half + 1))

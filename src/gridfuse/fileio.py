@@ -2,11 +2,11 @@
 
 Each format is declared once. A CSV format is a header constant plus a row
 writer and a row parser, passed to ``_write_csv`` / ``_read_csv``. A JSON
-document is the fields of the dataclass it stores, written by ``_to_json``.
-A JSON reader passes only the keys a document holds to the dataclass it
-builds, with ``_build``, so every optional key takes its default from that
-class. Every JSON object has one policy for keys it does not know: a
-``DataFormatError`` naming them.
+document is the fields of the dataclass it stores, written by ``_to_json``
+and read back by ``_build``, which reads each value as the type the dataclass
+declares for its field. Absent keys take the dataclass defaults. Every JSON
+object has one policy for keys it does not know: a ``DataFormatError`` naming
+them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import csv
 import json
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,11 +25,11 @@ from .estimation import Estimate
 from .geometry import ReferencePoint
 from .grid import GridSpec
 from .metrics import StatsSummary
-from .noise import GaussianModel, GmmModel, MixtureLikelihoodModel, UniformModel
+from .noise import (DensityModel, GaussianModel, GmmModel, MixtureLikelihoodModel,
+                    UniformModel)
 from .observations import (LOS, NLOS, Angle, GnssPseudoranges, Observation,
                            Odometry, Range, RangeDifference, SatelliteObservation)
-from .simulator import (GnssNoiseConfig, GroundTruth, OdometryNoiseConfig,
-                        SatelliteSpec, Scenario, Trajectory, UwbNoiseConfig)
+from .simulator import GroundTruth, Scenario
 
 SCENARIO_SCHEMA = "gridfuse-scenario-v1"
 FILTER_SCHEMA = "gridfuse-filter-v1"
@@ -115,8 +117,7 @@ def model_from_json(doc: dict):
         kind = doc["type"]
         cls = _MODEL_CLASSES.get(kind)
         if cls is not None:
-            return _build(cls, {k: v for k, v in doc.items() if k != "type"},
-                          primary=model_from_json, secondary=model_from_json)
+            return _build(cls, {k: v for k, v in doc.items() if k != "type"})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model document: {exc}") from exc
     raise DataFormatError(f"unknown model type {kind!r}")
@@ -125,17 +126,44 @@ def model_from_json(doc: dict):
 # ----------------------------------------------------------- JSON documents
 
 def _check_keys(doc: dict, known, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{what} must be a JSON object, got {json.dumps(doc)}")
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise DataFormatError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _build(cls, doc: dict, **convert):
+def _build(cls, doc: dict):
     """``cls`` from ``doc``, whose keys must name fields of ``cls``; each value
-    passes through ``convert[key]`` if given. Absent keys take the dataclass
-    defaults."""
+    is read as the type ``cls`` declares for that field. Absent keys take the
+    dataclass defaults."""
     _check_keys(doc, [f.name for f in fields(cls)], cls.__name__)
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
+    types = get_type_hints(cls)
+    return cls(**{k: _read(types[k], v, k) for k, v in doc.items()})
+
+
+# The JSON kinds a declared type takes; a bool is no number.
+_JSON_KINDS = {str: (str, "a string"), int: ((int, float), "a number"),
+               float: ((int, float), "a number"), bool: (bool, "a boolean"),
+               tuple: (list, "a list")}
+
+
+def _read(tp, value, name: str):
+    """``value`` as the type ``tp`` declared for field ``name``: a density model
+    from its tagged document, a dataclass from its object, ``T | None`` as null
+    or T, a tuple from a list element by element (the dataclass checks its
+    length) and a scalar only from its own JSON kind."""
+    if tp == DensityModel or tp in _MODEL_TAGS:
+        return model_from_json(value)
+    if is_dataclass(tp):
+        return _build(tp, value)
+    args = get_args(tp)
+    if isinstance(tp, UnionType):
+        return None if value is None and NoneType in args else _read(args[0], value, name)
+    kinds, text = _JSON_KINDS[get_origin(tp) or tp]
+    if not isinstance(value, kinds) or isinstance(value, bool) != (tp is bool):
+        raise DataFormatError(f"{name} must be {text}, got {json.dumps(value)}")
+    return tuple(_read(args[0], v, name) for v in value) if args else value
 
 
 def _check_schema(doc, schema: str) -> None:
@@ -144,21 +172,6 @@ def _check_schema(doc, schema: str) -> None:
     if doc.get("schema") != schema:
         raise DataFormatError(
             f"expected schema {schema!r}, got {doc.get('schema')!r}")
-
-
-def grid_to_json(spec: GridSpec) -> dict:
-    return _fields_to_json(spec)
-
-
-def grid_from_json(doc: dict) -> GridSpec:
-    try:
-        return _build(GridSpec, doc)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad grid document: {exc}") from exc
-
-
-def _satellite_from_json(doc: dict) -> SatelliteSpec:
-    return _build(SatelliteSpec, doc, position=tuple, visibility=tuple)
 
 
 def scenario_to_json(s: Scenario) -> dict:
@@ -173,18 +186,8 @@ def scenario_from_json(doc: dict) -> Scenario:
         body = {k: v for k, v in doc.items() if k not in ("schema", "rates")}
         rates = doc["rates"]
         _check_keys(rates, ("gnss", "uwb", "odometry"), "rates")
-        return _build(
-            Scenario,
-            {**body, "gnss_rate": rates["gnss"], "uwb_rate": rates["uwb"],
-             "odometry_rate": rates["odometry"]},
-            grid=grid_from_json,
-            anchors=lambda docs: tuple(_build(ReferencePoint, d) for d in docs),
-            satellites=lambda docs: tuple(map(_satellite_from_json, docs)),
-            trajectory=lambda d: _build(Trajectory, d, position=tuple,
-                                        center=tuple),
-            uwb_noise=lambda d: _build(UwbNoiseConfig, d),
-            gnss_noise=lambda d: _build(GnssNoiseConfig, d),
-            odometry_noise=lambda d: _build(OdometryNoiseConfig, d))
+        return _build(Scenario, {**body, **{f"{k}_rate": rates[k]
+                                            for k in ("gnss", "uwb", "odometry")}})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad scenario config: {exc}") from exc
 
@@ -200,7 +203,7 @@ def filter_config_to_json(cfg: FilterConfig, grid: GridSpec,
                           anchors) -> dict:
     return {
         "schema": FILTER_SCHEMA,
-        "grid": grid_to_json(grid),
+        "grid": _to_json(grid),
         "anchors": [_to_json(a) for a in anchors],
         **_fields_to_json(cfg),
     }
@@ -218,10 +221,9 @@ def filter_config_from_json(doc: dict):
     try:
         settings = {k: v for k, v in doc.items()
                     if k not in ("schema", "grid", "anchors", *_FILTER_LEGACY)}
-        cfg = _build(FilterConfig, {**settings, **{k: doc[k] for k in _FILTER_MODELS}},
-                     **dict.fromkeys(_FILTER_MODELS, model_from_json))
-        anchors = tuple(_build(ReferencePoint, d) for d in doc["anchors"])
-        return cfg, grid_from_json(doc["grid"]), anchors
+        cfg = _build(FilterConfig, {**settings, **{k: doc[k] for k in _FILTER_MODELS}})
+        anchors = _read(tuple[ReferencePoint, ...], doc["anchors"], "anchors")
+        return cfg, _build(GridSpec, doc["grid"]), anchors
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad filter config: {exc}") from exc
 
@@ -274,6 +276,9 @@ def _obs_rows(events):
             raise TypeError(f"unsupported payload {type(p).__name__}")
 
 
+_VISIBILITY = {"1": LOS, "0": NLOS}
+
+
 def _observations_from_rows(rows) -> list[Observation]:
     """Consecutive GNSS rows sharing a timestamp form one GNSS epoch."""
     events = []   # Observations, and (t, satellites) for each GNSS epoch
@@ -284,9 +289,11 @@ def _observations_from_rows(rows) -> list[Observation]:
             if epoch is None or epoch[0] != t:
                 epoch = (t, [])
                 events.append(epoch)
+            visibility = _VISIBILITY.get(v5)
+            if visibility is None:
+                raise ValueError(f"GNSS v5 must be 1 (LOS) or 0 (NLOS), got {v5!r}")
             epoch[1].append(SatelliteObservation(
-                ref, (float(v2), float(v3), float(v4)), float(v1),
-                LOS if v5 == "1" else NLOS))
+                ref, (float(v2), float(v3), float(v4)), float(v1), visibility))
             continue
         epoch = None
         if kind == "range":

@@ -17,7 +17,7 @@ parameters without a finite density: a non-finite mean or bound, a variance
 (or ``std * std``) that is not finite and > 0 or whose -0.5 / var overflows,
 and mixture weights that are not finite and >= 0.
 
-A new model also needs one entry in the JSON tag table of ``fileio``.
+A new model also joins ``DensityModel`` and the JSON tag table of ``fileio``.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ class MixtureLikelihoodModel:
     """Convex combination ratio*primary + (1-ratio)*secondary."""
 
     ratio: float
-    primary: object
-    secondary: object
+    primary: DensityModel
+    secondary: DensityModel
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
@@ -209,6 +209,11 @@ class MixtureLikelihoodModel:
         if size is None:
             return float(out[0])
         return out.reshape(size)
+
+
+# A field of this type is read from a tagged model document; the constructors
+# that take one still accept any object with ``pdf`` and ``sample``.
+DensityModel = GaussianModel | UniformModel | GmmModel | MixtureLikelihoodModel
 
 
 def density(model, y, out=None):

@@ -177,15 +177,18 @@ class Scenario:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Reference positions aligned with the emitted positioning timestamps."""
+    """Reference positions aligned with the emitted positioning timestamps,
+    kept in time order (a stable sort on construction)."""
 
     times: np.ndarray
     positions: np.ndarray  # (N, 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        times = np.asarray(self.times, dtype=float)
+        order = np.argsort(times, kind="stable")
+        object.__setattr__(self, "times", times[order])
         object.__setattr__(self, "positions",
-                           np.asarray(self.positions, dtype=float))
+                           np.asarray(self.positions, dtype=float)[order])
 
 
 def default_constellation(center_xy=(0.0, 0.0), n: int = 8,
@@ -285,10 +288,7 @@ def generate(scenario: Scenario) -> tuple[list[Observation], GroundTruth]:
         events.append(Observation(t, Odometry(v_meas, h_meas)))
 
     events.sort(key=lambda e: e.timestamp)
-    order = np.argsort(truth_times, kind="stable")
-    truth = GroundTruth(np.asarray(truth_times)[order],
-                        np.asarray(truth_positions)[order])
-    return events, truth
+    return events, GroundTruth(truth_times, truth_positions)
 
 
 def make_static_scenario(n_epochs: int = 500, cell_size: float = 0.2,

@@ -294,6 +294,30 @@ def test_v1_filter_file_gives_the_current_file_estimates(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_filter_with_a_radius_beyond_every_grid_exits_0(tmp_path, capsys):
+    obs, config = _demo_static_inputs(tmp_path)
+    assert main(["filter", "--config", str(config), "--observations", str(obs),
+                 "--out", str(tmp_path / "out"), "--radius", "1e308"]) == EXIT_OK
+    assert read_estimates(tmp_path / "out" / "estimates.csv")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["onto_a_file", "below_a_file"])
+def test_filter_out_at_a_regular_file_exits_2(tmp_path, capsys, below):
+    """``--out`` naming a regular file, or a directory below one, is an OS
+    error: exit 2, the file untouched and nothing created."""
+    obs, config = _demo_static_inputs(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+    out = blocker / "out" if below else blocker
+    assert main(["filter", "--config", str(config), "--observations", str(obs),
+                 "--out", str(out)]) == EXIT_DATA
+    assert "gridfuse:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "kept\n"
+
+
 def test_v1_filter_file_without_recentering_exits_2(tmp_path, capsys):
     """The grid always recenters, so a file asking it not to cannot run as
     it asks."""

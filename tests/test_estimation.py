@@ -48,6 +48,17 @@ def test_weighted_mean_infinite_radius_is_global_centroid():
     assert np.allclose(wm, [*expected, 0.0], atol=1e-12)
 
 
+def test_huge_finite_radius_gives_the_infinite_radius_estimate():
+    """A radius beyond the grid is clipped to it, so 1e308 windows the grid as
+    inf does and gives the same estimate bit for bit."""
+    spec = GridSpec((0, 0), 0.5, (10, 12))
+    field = LikelihoodField(spec, np.random.default_rng(3).random(120))
+    huge, inf = estimate(field, radius=1e308), estimate(field, radius=math.inf)
+    assert (huge.position, huge.map_cell, huge.map_mass, huge.support_count) == (
+        inf.position, inf.map_cell, inf.map_mass, inf.support_count)
+    assert huge.support_count == 120
+
+
 def test_weighted_mean_small_radius_raises():
     spec = GridSpec((0, 0), 1.0, (4, 4))
     with pytest.raises(ValueError):

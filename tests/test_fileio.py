@@ -11,10 +11,10 @@ from gridfuse.engine import (DEFAULT_BSSD_GMM, DEFAULT_UWB_MODEL, FilterConfig,
 from gridfuse.fileio import (ESTIMATE_HEADER, OBS_HEADER, RESIDUAL_HEADER,
                              TRUTH_HEADER, DataFormatError, dump_json,
                              filter_config_from_json, filter_config_to_json,
-                             grid_from_json, grid_to_json, load_json,
-                             model_from_json, model_to_json, read_estimates,
-                             read_gmm, read_ground_truth, read_observations,
-                             read_residuals, scenario_from_json, scenario_to_json,
+                             load_json, model_from_json, model_to_json,
+                             read_estimates, read_gmm, read_ground_truth,
+                             read_observations, read_residuals,
+                             scenario_from_json, scenario_to_json,
                              write_estimates, write_gmm, write_ground_truth,
                              write_observations, write_residuals)
 from gridfuse.geometry import ReferencePoint
@@ -79,15 +79,31 @@ def test_default_models_json_literal():
     }
 
 
+def _filter_doc(grid: GridSpec = GridSpec((0, 0), 0.5, (10, 10))) -> dict:
+    """The filter file of the default configuration, through JSON text."""
+    return json.loads(json.dumps(filter_config_to_json(FilterConfig(), grid, ())))
+
+
 def test_grid_json_round_trip():
     spec = GridSpec((-15.3, 2.25), 0.2, (150, 151), plane_height=1.1)
-    assert grid_from_json(grid_to_json(spec)) == spec
+    _, grid, _ = filter_config_from_json(_filter_doc(spec))
+    assert grid == spec
 
 
 @pytest.mark.parametrize("extent", [[20.9, 30], [20, "30"], [20.9, "30"]])
 def test_grid_json_rejects_non_integer_extent(extent):
+    doc = _filter_doc()
+    doc["grid"] = {"origin": [0.0, 0.0], "cell_size": 1.0, "extent": extent}
     with pytest.raises(DataFormatError, match="extent"):
-        grid_from_json({"origin": [0.0, 0.0], "cell_size": 1.0, "extent": extent})
+        filter_config_from_json(doc)
+
+
+def test_grid_json_takes_integral_float_extent():
+    """``GridSpec`` decides which numbers make an extent: 150.0 is 150."""
+    doc = _filter_doc()
+    doc["grid"]["extent"] = [150.0, 150]
+    _, grid, _ = filter_config_from_json(doc)
+    assert grid.extent == (150, 150)
 
 
 def test_scenario_json_round_trip_reproduces_stream(tmp_path):
@@ -121,6 +137,54 @@ def test_scenario_rejects_unknown_keys(section):
         scenario_from_json(doc)
 
 
+# file kind, path to a value, a value of another JSON kind, the field (or, for
+# a section, its class) named
+WRONG_KIND = [
+    ("scenario", ("duration",), True, "duration"),
+    ("scenario", ("rates", "uwb"), True, "uwb_rate"),
+    ("scenario", ("grid", "cell_size"), True, "cell_size"),
+    ("scenario", ("anchors", 0, "id"), 1, "id"),
+    ("scenario", ("satellites", 0, "id"), 1, "id"),
+    ("scenario", ("trajectory", "kind"), None, "kind"),
+    ("scenario", ("trajectory",), "static", "Trajectory"),
+    ("scenario", ("uwb_noise", "outlier_rate"), True, "outlier_rate"),
+    ("scenario", ("gnss_noise", "sigma_pseudorange"), "7.8", "sigma_pseudorange"),
+    ("scenario", ("odometry_noise", "sigma_speed"), True, "sigma_speed"),
+    ("filter", ("sigma_speed",), True, "sigma_speed"),
+    ("filter", ("estimate_radius",), "2.5", "estimate_radius"),
+    ("filter", ("combine_mode",), None, "combine_mode"),
+    ("filter", ("grid", "cell_size"), True, "cell_size"),
+    ("filter", ("grid",), [], "GridSpec"),
+    ("filter", ("anchors", 0, "id"), 1, "id"),
+    ("filter", ("range_model", "primary", "std"), True, "std"),
+    ("filter", ("bssd_gmm", "weights", 0), True, "weights"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, name", WRONG_KIND,
+                         ids=[f"{k}-{'.'.join(map(str, p))}" for k, p, _, _ in WRONG_KIND])
+def test_json_value_of_another_kind_is_malformed(kind, path, value, name):
+    """A field declared ``str`` takes only a string, ``int`` or ``float`` only
+    a number that is no boolean, ``bool`` only a boolean, and null only where
+    the field may be None: ``"sigma_speed": true`` is no 1.0 and an anchor id
+    1 is no ``"1"``. A section that is no object is malformed too."""
+    sc = make_static_scenario(n_epochs=10)
+    if kind == "scenario":
+        doc, read = scenario_to_json(sc), scenario_from_json
+    else:
+        doc = filter_config_to_json(FilterConfig(), sc.grid, sc.anchors)
+        read = filter_config_from_json
+    doc = json.loads(json.dumps(doc))
+    read(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(DataFormatError, match=rf"\b{name} must be a"):
+        read(doc)
+
+
 def test_scenario_trajectory_kind_only_takes_defaults():
     doc = scenario_to_json(make_static_scenario(n_epochs=10))
     doc["trajectory"] = {"kind": "circuit"}
@@ -148,13 +212,14 @@ def test_observation_float_precision(tmp_path):
     assert back[0].payload.value == value
 
 
-# reader, its header, and a data row it cannot parse
+# reader, its header, and data rows it cannot parse; a GNSS row's v5 is 1 or 0
 CSV_READERS = {
     "observations": (read_observations, OBS_HEADER,
-                     "abc,uwb,range,A01,3.0,,,,"),
-    "truth": (read_ground_truth, TRUTH_HEADER, "0.5,1.0,north,0.0"),
-    "estimates": (read_estimates, ESTIMATE_HEADER, "0.5,1,2,0,3.5,0.1,1.0,4"),
-    "residuals": (read_residuals, RESIDUAL_HEADER, "1.0,2.0"),
+                     ("abc,uwb,range,A01,3.0,,,,", "1.0,gnss,gnss,G01,2e7,1,2,3,yes",
+                      "1.0,gnss,gnss,G01,2e7,1,2,3,")),
+    "truth": (read_ground_truth, TRUTH_HEADER, ("0.5,1.0,north,0.0",)),
+    "estimates": (read_estimates, ESTIMATE_HEADER, ("0.5,1,2,0,3.5,0.1,1.0,4",)),
+    "residuals": (read_residuals, RESIDUAL_HEADER, ("1.0,2.0",)),
 }
 
 
@@ -169,11 +234,12 @@ def test_csv_reader_bad_header(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", CSV_READERS)
 def test_csv_reader_malformed_row(tmp_path, kind):
-    reader, header, bad_row = CSV_READERS[kind]
+    reader, header, bad_rows = CSV_READERS[kind]
     path = tmp_path / "data.csv"
-    path.write_text(",".join(header) + "\n" + bad_row + "\n")
-    with pytest.raises(DataFormatError, match="malformed row"):
-        reader(path)
+    for bad_row in bad_rows:
+        path.write_text(",".join(header) + "\n" + bad_row + "\n")
+        with pytest.raises(DataFormatError, match="malformed row"):
+            reader(path)
 
 
 def test_ground_truth_round_trip(tmp_path):

@@ -30,6 +30,16 @@ def test_error_series_matches_nearest_time():
     assert series.skipped == 0
 
 
+def test_error_series_scores_truth_given_out_of_order():
+    """Truth rows at t = 2, 1, 3 score every estimate, as the sorted rows do."""
+    truth = GroundTruth([2.0, 1.0, 3.0], [[10, 0, 0], [0, 0, 0], [20, 0, 0]])
+    assert list(truth.times) == [1.0, 2.0, 3.0]
+    estimates = [make_estimate(t, (10.0 * (t - 1), 0.0, 0.0)) for t in (1.0, 2.0, 3.0)]
+    series = error_series(estimates, truth)
+    assert series.skipped == 0
+    assert list(series.values) == [0.0, 0.0, 0.0]
+
+
 def test_error_series_skips_unmatched():
     truth = GroundTruth([1.0], [[0, 0, 0]])
     series = error_series([make_estimate(5.0, (0, 0, 0)),
